@@ -22,7 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import reference
 import stats
 
 HERE = Path(__file__).resolve().parent
@@ -30,8 +29,9 @@ ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 REPORT_DIR = ROOT / ".perfbench"
 WORKLOADS = ("s4-batch", "forms", "algebras")
-SETUP_LAUNCHES = 5  # the measured run's own launch is one of them
-SETUP_REFERENCE_CALLS = 5
+# the same ops on every candidate input, failing ones included (workloads.py)
+SAMPLED = tuple(f"{w}-sampled" for w in WORKLOADS)
+SETUP_LAUNCHES = 5  # set-up only, before the measured run's own launch
 WORKER_TIMEOUT_S = 170.0
 PREFIX_OPS = 5  # ops covered by outputs_prefix_sha256, comparable across commits
 
@@ -90,8 +90,12 @@ def child_env() -> dict:
     return env
 
 
-def launch(args: argparse.Namespace, setup_only: bool) -> tuple[subprocess.Popen, float]:
-    """Start a worker and wait for its "ready" line; returns it and the set-up time."""
+def launch(args: argparse.Namespace, setup_only: bool) -> tuple[subprocess.Popen, float, float]:
+    """Start a worker and wait for its "ready" line.
+
+    Returns the worker, its set-up time as measured (less the time its
+    reference samples took) and the set-up's speed factor.
+    """
     cmd = [
         sys.executable, str(WORKER), "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--trace", str(args.trace),
@@ -100,13 +104,14 @@ def launch(args: argparse.Namespace, setup_only: bool) -> tuple[subprocess.Popen
         cmd.append("--setup-only")
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=child_env(), cwd=ROOT)
-    line = proc.stdout.readline()
+    line = proc.stdout.readline().split()
     ready = time.perf_counter() - start
-    if line.strip() != "ready":
+    if len(line) != 3 or line[0] != "ready":
         proc.kill()
         proc.communicate()
         raise RuntimeError(f"worker did not finish set-up (exit code {proc.returncode})")
-    return proc, ready
+    factor, sampling = float(line[1]), float(line[2])
+    return proc, ready - sampling, factor
 
 
 def finish(proc: subprocess.Popen) -> str:
@@ -125,17 +130,15 @@ def finish(proc: subprocess.Popen) -> str:
 def measure(args: argparse.Namespace) -> tuple[list[tuple[float, float]], dict]:
     """Set-up launches, then the measured run.
 
-    Returns (set-up time, speed factor) per launch, the factor taken from
-    reference calls made here just before that launch, and the run's result.
+    Returns (set-up time, speed factor) per set-up launch and the run's
+    result.
     """
-    reference.sample()  # the first calls in a process run slower
     setups = []
-    for k in range(SETUP_LAUNCHES):
-        factor = reference.speed_factor([reference.sample() for _ in range(SETUP_REFERENCE_CALLS)])
-        proc, ready = launch(args, setup_only=k < SETUP_LAUNCHES - 1)
+    for _ in range(SETUP_LAUNCHES):
+        proc, ready, factor = launch(args, setup_only=True)
+        finish(proc)
         setups.append((ready, factor))
-        if k < SETUP_LAUNCHES - 1:
-            finish(proc)
+    proc, _, _ = launch(args, setup_only=False)
     return setups, json.loads(finish(proc).strip().splitlines()[-1])
 
 
@@ -146,10 +149,11 @@ def sha256_json(data) -> str:
 def build_report(args, setups: list[tuple[float, float]], result: dict) -> dict:
     ops = [stats.Op(lat, verified, failure) for lat, verified, failure in result["ops"]]
     summary = stats.summarize(ops)
-    factor = reference.speed_factor(result["reference_samples"])
+    factors = result["speed_factors"]
+    factor = statistics.median(factors)
     # failures stay censored at the run's own timed wall, which the time
     # budget fixes whatever the machine's speed
-    scaled = stats.latency_summary(stats.rescale(ops, factor), summary["timed_wall_s"])
+    scaled = stats.latency_summary(stats.rescale(ops, factors), summary["timed_wall_s"])
     digests = result["op_digests"]
     report = {
         "workload": args.workload,
@@ -195,7 +199,7 @@ def print_table(report: dict, metrics: dict) -> None:
     )
     for name, metric in metrics.items():
         print(f"  {name:<44} {metric['value']:>14.6g} {metric['unit']}")
-    print(f"  speed factor to reference speed {report['speed_factor']:.4g}")
+    print(f"  speed factor to reference speed {report['speed_factor']:.4g} (median over ops)")
     print(f"  {'':<22}{'measured':>14}{'at ref speed':>14}")
     print(f"  {'setup_s':<22}{report['setup_measured_s']:>14.6g}{report['setup_s']:>14.6g} s")
     for key in ("op_p25_s", "op_p50_s", "op_p75_s", "op_tail_s", "op_gmean_s"):
@@ -221,7 +225,7 @@ def print_table(report: dict, metrics: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + SAMPLED)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

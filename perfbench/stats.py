@@ -27,9 +27,9 @@ class Op:
     failure: Optional[str] = None  # exception name or failed check name
 
 
-def rescale(ops: Sequence[Op], factor: float) -> list[Op]:
-    """The same ops with every latency multiplied by ``factor``."""
-    return [Op(op.latency_s * factor, op.verified, op.failure) for op in ops]
+def rescale(ops: Sequence[Op], factors: Sequence[float]) -> list[Op]:
+    """The same ops with each latency multiplied by its factor."""
+    return [Op(op.latency_s * f, op.verified, op.failure) for op, f in zip(ops, factors, strict=True)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ sys.path.insert(0, str(HERE))
 
 import reference  # noqa: E402
 import run  # noqa: E402
+import screen  # noqa: E402
 import stats  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -93,14 +94,19 @@ def test_failing_faster_never_improves_a_number():
 def test_rescaling_keeps_failures_at_the_measured_wall():
     ops = ops_from([1.0, 2.0, 3.0, 4.0], failed={3})
     wall = stats.timed_wall(ops)
-    scaled = stats.latency_summary(stats.rescale(ops, 0.5), wall)
+    scaled = stats.latency_summary(stats.rescale(ops, [0.5] * len(ops)), wall)
     assert scaled["op_p25_s"] == 0.5 and scaled["op_p75_s"] == 1.5
-    assert stats.percentile(stats.rescale(ops, 0.5), 100, wall).value_s == wall
+    assert stats.percentile(stats.rescale(ops, [0.5] * len(ops)), 100, wall).value_s == wall
 
 
-def test_speed_factor_is_relative_to_the_reference_time():
-    samples = [reference.REFERENCE_S * 2] * 3 + [reference.REFERENCE_S * 9]
-    assert reference.speed_factor(samples) == pytest.approx(0.5)
+def test_each_op_is_rescaled_by_the_samples_around_it():
+    r = reference.REFERENCE_S
+    samples = [(0.0, r), (1.0, 3 * r), (1.5, r / 2), (9.0, 2 * r)]
+    spans = [(0.9, 1.6), (0.2, 0.3), (3.0, 3.1), (5.0, 6.0)]
+    factors = reference.local_factors(samples, spans, margin_s=0.1)
+    # two samples inside; one within the margin; none near, so the last
+    # sample before the op (twice)
+    assert factors == pytest.approx([4 / 7, 1, 2, 2])
     assert reference.sample() > 0
 
 
@@ -150,9 +156,41 @@ def test_forms_checker_rejects_a_bad_witness():
 
 def test_inputs_depend_only_on_the_seed():
     a, b = workloads.Forms(seed=3), workloads.Forms(seed=3)
-    assert [a.make_input(k) for k in range(6)] == [b.make_input(k) for k in range(6)]
+    assert [a.make_input(k) for k in range(12)] == [b.make_input(k) for k in range(12)]
     assert [len(a.make_input(k)) for k in range(6)] == list(workloads.FORM_DIMS)
-    assert a.make_input(0) != workloads.Forms(seed=4).make_input(0)
+    c = workloads.Forms(seed=4)
+    assert [a.make_input(k) for k in range(12)] != [c.make_input(k) for k in range(12)]
+
+
+@pytest.mark.parametrize("name", run.WORKLOADS)
+def test_runs_draw_only_screened_candidates(name):
+    screened = json.loads(workloads.SCREENED.read_text())[name]["verified"]
+    pool = {i for indices in screened.values() for i in indices}
+    workload = workloads.make_workload(name, seed=5)
+    workload.setup()
+    candidates = {repr(workload.candidate(i)): i for i in sorted(pool)}
+    seen = [candidates.get(repr(workload.make_input(k))) for k in range(2 * len(screened))]
+    assert None not in seen
+    # every stratum in turn, without repeats until a stratum is used up
+    assert [workload.stratum(i) for i in seen[: len(screened)]] == list(screened)
+    assert len(set(seen)) == len(seen) or min(map(len, screened.values())) == 1
+
+
+def test_sampled_workloads_run_every_candidate():
+    workload = workloads.make_workload("forms-sampled", seed=9)
+    assert workload.sampled and workload.name == "forms"
+    assert [workload.make_input(k) for k in range(3)] == [workload.candidate(9 + k) for k in range(3)]
+
+
+def test_screen_merge_replaces_the_rescreened_range():
+    entry = {"ranges": [[0, 4]], "verified": {"all": [0, 2, 3]}, "failed": {"Boom": [1]}}
+    merged = screen.merge(entry, 2, 6, {2: ("all", "Boom"), 3: ("all", "verified"),
+                                         4: ("all", "verified"), 5: ("x", "verified")})
+    assert merged == {
+        "ranges": [[0, 4], [2, 6]],
+        "verified": {"all": [0, 3, 4], "x": [5]},
+        "failed": {"Boom": [1, 2]},
+    }
 
 
 def test_spans_are_installed_everywhere_and_removed():

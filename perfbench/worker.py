@@ -1,7 +1,8 @@
 """One measured run in a fresh interpreter; started by run.py.
 
-Set-up (imports, the library's lazy imports, the first input) ends with a
-"ready" line on stdout. Then the ops run back to back, single-threaded,
+Set-up (imports, the library's lazy imports, one input that is the same for
+every seed) ends with a "ready" line on stdout that carries the set-up's speed factor and the time
+its reference samples took. Then the ops run back to back, single-threaded,
 until their summed latency reaches the time budget; inputs are generated on
 demand between ops, outside the timed region. Every output is re-checked
 after the timed loop. With --trace the same ops run a second time, from
@@ -23,11 +24,19 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import reference  # noqa: E402
+
+REFERENCE_EVERY_S = 0.05  # wall time between reference samples, during ops too
+REFERENCE_MARGIN_S = 0.1  # samples this close to an op also rescale it
+
+# set-up is sampled like the ops, from before the imports to "ready"
+SETUP_START = time.perf_counter()
+SETUP_SAMPLES: list = []
+SETUP_SAMPLER = reference.Sampler(SETUP_SAMPLES, REFERENCE_EVERY_S)
+SETUP_SAMPLER.__enter__()
+
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from pfisterinv import shapiro4  # noqa: E402
-
-REFERENCE_EVERY_S = 0.25
 
 
 class Inputs:
@@ -57,35 +66,43 @@ def run_ops(
 ) -> list[dict]:
     """Ops until their summed latency reaches ``seconds`` (or ``count`` ops).
 
-    A reference sample is appended to ``samples`` before the first op, after
-    every REFERENCE_EVERY_S of op time and after the last op.
+    Reference samples are appended to ``samples`` every REFERENCE_EVERY_S
+    of wall time throughout; each record keeps its op's start and end, and
+    its latency leaves out the time the samples took.
     """
     records = []
-    spent = since_sample = 0.0
+    spent = 0.0
     k = 0
-    samples.append(reference.sample())
-    while (count is None and spent < seconds) or (count is not None and k < count):
-        inp = inputs[k]
-        if since_sample >= REFERENCE_EVERY_S:
-            samples.append(reference.sample())
-            since_sample = 0.0
-        start = time.perf_counter()
-        try:
-            out = workload.run(inp)
-            error = None
-        except Exception as exc:  # one failing op never ends the run
-            out, error = None, exc
-        latency = time.perf_counter() - start
-        spent += latency
-        since_sample += latency
-        record = {"latency_s": latency, "output": out, "error": error}
-        if error is not None:
-            record["failure"] = workloads.failure_name(error)
-            record["origin"] = tracing.origin_of(error)
-        records.append(record)
-        k += 1
-    samples.append(reference.sample())
+    with reference.Sampler(samples, REFERENCE_EVERY_S) as sampler:
+        while (count is None and spent < seconds) or (count is not None and k < count):
+            inp = inputs[k]
+            sampling_before = sampler.spent
+            start = time.perf_counter()
+            try:
+                out = workload.run(inp)
+                error = None
+            except Exception as exc:  # one failing op never ends the run
+                out, error = None, exc
+            end = time.perf_counter()
+            latency = end - start - (sampler.spent - sampling_before)
+            spent += latency
+            record = {"latency_s": latency, "output": out, "error": error, "span": (start, end)}
+            if error is not None:
+                record["failure"] = workloads.failure_name(error)
+                record["origin"] = tracing.origin_of(error)
+            records.append(record)
+            k += 1
     return records
+
+
+def op_factors(records: list[dict], samples: list) -> list[float]:
+    """Each op's multiplier to reference speed."""
+    return reference.local_factors(samples, [r["span"] for r in records], REFERENCE_MARGIN_S)
+
+
+def scaled_seconds(records: list[dict], samples: list) -> float:
+    """Summed op latency at reference speed."""
+    return sum(r["latency_s"] * f for r, f in zip(records, op_factors(records, samples)))
 
 
 def recheck(workload: workloads.Workload, inputs: Inputs, records: list[dict]) -> list[str]:
@@ -136,29 +153,35 @@ def per_layer(tracer: tracing.Tracer) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=workloads.NAMES)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args(argv)
 
-    workload = workloads.WORKLOADS[args.workload](args.seed)
+    workload = workloads.make_workload(args.workload, args.seed)
     workloads.warm_lazy_imports()
     workload.setup()
     inputs = Inputs(workload)
-    inputs[0]
+    workload.setup_input()
     workloads.reset_caches()
-    print("ready", flush=True)
+    SETUP_SAMPLER.__exit__()
+    (factor,) = reference.local_factors(
+        SETUP_SAMPLES, [(SETUP_START, time.perf_counter())], REFERENCE_MARGIN_S
+    )
+    print(f"ready {factor!r} {SETUP_SAMPLER.spent!r}", flush=True)
     if args.setup_only:
         return 0
 
+    reference.sample()  # the first calls in a process run slower
     samples: list = []
     records = run_ops(workload, inputs, samples, seconds=args.seconds)
     wrong = recheck(workload, inputs, records)
     result = {
         "ops": [[r["latency_s"], r["verified"], r.get("failure")] for r in records],
         "reference_samples": samples,
+        "speed_factors": op_factors(records, samples),
         "outputs_sha256": digest([r["digest"] for r in records]),
         "op_digests": [r["digest"] for r in records],
         "wrong": wrong,
@@ -185,8 +208,8 @@ def main(argv=None) -> int:
                 wrong.append(f"op {k}: output changed under tracing")
         # both passes at the same machine speed, so that drift between them
         # does not read as tracing overhead
-        untraced_s = sum(r["latency_s"] for r in records) * reference.speed_factor(samples)
-        traced_s = sum(r["latency_s"] for r in traced) * reference.speed_factor(traced_samples)
+        untraced_s = scaled_seconds(records, samples)
+        traced_s = scaled_seconds(traced, traced_samples)
         layers = per_layer(tracer)
         layers["trace.overhead_frac"] = traced_s / untraced_s - 1.0
         origins: dict[str, int] = {}

@@ -5,20 +5,30 @@ The re-checks use only rational arithmetic written here, the algebra
 structure constants and the library's exact arithmetic layer -- never the
 isotropy search, the Witt decomposition or the pipeline that produced the
 output -- and they run outside the timed region.
+
+Each workload has a fixed stream of candidate inputs (candidate i is the
+same input for every seed); the benchmark runs only the candidates that
+screen.py found to verify, recorded with the failing ones in
+fixtures/screened.json, so that no op of a measured run fails. Each
+workload also exists as `<name>-sampled`, which runs every candidate
+(failing ones included) as the stream produces them.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Sequence
+from pathlib import Path
+from typing import Any, Optional, Sequence
 
 from pfisterinv import arith, csa, linalg, qform, quat, shapiro4
 from pfisterinv.quat import QuaternionAlgebra
 
 FORM_DIMS = (3, 4, 5, 6, 7, 8)
 FORM_ENTRY_RANGE = 3
+SCREENED = Path(__file__).resolve().parent / "fixtures" / "screened.json"
 # symmetric pure (x) pure basis elements tried, in order, as twisting elements
 TWIST_SLOTS = (5, 10, 15, 6, 9)
 
@@ -129,18 +139,65 @@ def check_s4_report(data: dict) -> None:
 
 
 class Workload:
-    """Seeded inputs (generated on demand, untimed), one op per input."""
+    """Seeded inputs (generated on demand, untimed), one op per input.
+
+    With ``sampled`` the k-th input is candidate seed + k; otherwise it is
+    drawn from the screened candidates (see ``screened_input``).
+    """
 
     name = ""
+    # verified candidates a run draws from per stratum, the first ones of the
+    # screen (None: all)
+    pool_size: Optional[int] = None
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, sampled: bool = False):
         self.seed = seed
+        self.sampled = sampled
+        self._order: dict[str, list[int]] = {}
 
     def setup(self) -> None:
         """One-off preparation that belongs to set-up time."""
 
-    def make_input(self, k: int) -> Any:
+    def candidate(self, i: int) -> Any:
+        """The i-th input of the workload's candidate stream."""
         raise NotImplementedError
+
+    def stratum(self, i: int) -> str:
+        """The screen's stratum of candidate i."""
+        return "all"
+
+    def make_input(self, k: int) -> Any:
+        if self.sampled:
+            return self.candidate(self.seed + k)
+        return self.screened_input(k)
+
+    def screened_input(self, k: int) -> Any:
+        """The k-th input among the candidates that screened as verified.
+
+        Ops cycle through the strata of the screen (the same mix in every
+        run); inside a stratum they walk a seed-shuffled order of its
+        candidates, so no input repeats before the stratum is used up.
+        """
+        strata = self._strata()
+        order = strata[k % len(strata)]
+        return self.candidate(order[(k // len(strata)) % len(order)])
+
+    def _strata(self) -> list[list[int]]:
+        """Per stratum, the pool of verified candidates in the seed's order."""
+        if not self._order:
+            verified = json.loads(SCREENED.read_text())[self.name]["verified"]
+            rng = random.Random(f"{self.name}:{self.seed}")
+            for stratum, indices in verified.items():
+                pool = indices[: self.pool_size]
+                self._order[stratum] = rng.sample(pool, len(pool))
+        return list(self._order.values())
+
+    def setup_input(self) -> Any:
+        """The input made during set-up: the same for every seed, so that
+        set-up time does not depend on which input a seed draws first."""
+        if self.sampled:
+            return self.candidate(self.seed)
+        return self.candidate(min(min(order) for order in self._strata()))
 
     def run(self, inp: Any) -> Any:
         raise NotImplementedError
@@ -167,13 +224,18 @@ def _uncached_build_D():
 
 
 class S4Batch(Workload):
-    """run_scenario on sample_scenario(seed + k), as the CLI batch runs them."""
+    """run_scenario on sampled scenarios; candidate i is sample_scenario(i),
+    the scenario the CLI batch runs for seed i."""
 
     name = "s4-batch"
+    # a run has time for about five verified scenarios; with five in the pool
+    # every run does all of them and seeds change only their order, so the
+    # quartiles do not depend on which slow or fast scenarios a seed draws
+    pool_size = 5
 
-    def make_input(self, k: int) -> shapiro4.Scenario:
+    def candidate(self, i: int) -> shapiro4.Scenario:
         with _uncached_build_D():
-            return shapiro4.sample_scenario(self.seed + k)
+            return shapiro4.sample_scenario(i)
 
     def run(self, inp: shapiro4.Scenario) -> shapiro4.ScenarioReport:
         return shapiro4.run_scenario(inp)
@@ -201,15 +263,18 @@ def random_form(rng: random.Random, n: int) -> list[list[int]]:
 class Forms(Workload):
     """Invariants, isotropy witness, Witt decomposition and the I^3 / GP tests.
 
-    Dimensions cycle through FORM_DIMS so that every run has the same mix;
-    the entries are random.
+    Candidate i has dimension FORM_DIMS[i % 6] and random entries; the
+    screen's strata are the dimensions, so every run has the same mix.
     """
 
     name = "forms"
 
-    def make_input(self, k: int) -> list[list[int]]:
-        rng = random.Random(f"{self.name}:{self.seed}:{k}")
-        return random_form(rng, FORM_DIMS[k % len(FORM_DIMS)])
+    def candidate(self, i: int) -> list[list[int]]:
+        rng = random.Random(f"{self.name}:{i}")
+        return random_form(rng, FORM_DIMS[i % len(FORM_DIMS)])
+
+    def stratum(self, i: int) -> str:
+        return f"dim{FORM_DIMS[i % len(FORM_DIMS)]}"
 
     @staticmethod
     def pfister_fold(n: int) -> int:
@@ -270,11 +335,11 @@ class Forms(Workload):
 class Algebras(Workload):
     """Degree-4 algebras (Q1 (x) Q2, canonical involutions), half twisted.
 
-    Inputs cycle through the eight strata (twisted or not) x (Q1 split or
-    not) x (Q2 split or not), so every run has the same mix; the symbols
-    inside a stratum are random picks from shapiro4.SYMBOL_POOL. The twisted
-    products with a non-split factor have no implemented Clifford route and
-    fail with UncomputableInvariant; they stay in the mix.
+    Candidate i lies in stratum i % 8 of (twisted or not) x (Q1 split or
+    not) x (Q2 split or not); its symbols are random picks from
+    shapiro4.SYMBOL_POOL. The twisted products with a non-split factor have
+    no implemented Clifford route and fail with UncomputableInvariant, so
+    the screen leaves those strata empty and runs cycle through the others.
     """
 
     name = "algebras"
@@ -287,14 +352,21 @@ class Algebras(Workload):
             flag: [p for p in pairs if split[p] == flag] for flag in (True, False)
         }
 
-    def make_input(self, k: int) -> tuple:
-        rng = random.Random(f"{self.name}:{self.seed}:{k}")
-        twisted = k % 2 == 1
-        split1 = (k // 2) % 2 == 0
-        split2 = (k // 4) % 2 == 0
+    @staticmethod
+    def _kind(i: int) -> tuple[bool, bool, bool]:
+        """(twisted, Q1 split, Q2 split) of candidate i."""
+        return i % 2 == 1, (i // 2) % 2 == 0, (i // 4) % 2 == 0
+
+    def candidate(self, i: int) -> tuple:
+        rng = random.Random(f"{self.name}:{i}")
+        twisted, split1, split2 = self._kind(i)
         s1 = rng.choice(self.by_splitness[split1])
         s2 = rng.choice(self.by_splitness[split2])
         return QuaternionAlgebra(*s1), QuaternionAlgebra(*s2), twisted
+
+    def stratum(self, i: int) -> str:
+        twisted, split1, split2 = self._kind(i)
+        return f"{'twisted' if twisted else 'plain'}-{'s' if split1 else 'n'}{'s' if split2 else 'n'}"
 
     def run(self, inp: tuple) -> dict:
         q1, q2, twisted = inp
@@ -351,6 +423,15 @@ class Algebras(Workload):
 
 
 WORKLOADS = {w.name: w for w in (S4Batch, Forms, Algebras)}
+SAMPLED_SUFFIX = "-sampled"
+NAMES = (*WORKLOADS, *(name + SAMPLED_SUFFIX for name in WORKLOADS))
+
+
+def make_workload(name: str, seed: int) -> Workload:
+    """The workload called ``name``; ``<name>-sampled`` runs every candidate."""
+    sampled = name.endswith(SAMPLED_SUFFIX)
+    base = name[: -len(SAMPLED_SUFFIX)] if sampled else name
+    return WORKLOADS[base](seed, sampled=sampled)
 
 
 def warm_lazy_imports() -> None:
