@@ -438,8 +438,3 @@ def brauer_class_of_symbol(a: RationalLike, b: RationalLike) -> BrauerClass:
     a, b = rat(a), rat(b)
     minus = [v for v in relevant_places(a, b) if hilbert_symbol(a, b, v) == -1]
     return BrauerClass(frozenset(minus))
-
-
-def brauer_add(x: BrauerClass, y: BrauerClass) -> BrauerClass:
-    """Group law in the 2-torsion Brauer group (pointwise product of signs)."""
-    return x + y

@@ -11,10 +11,9 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import csa, qform, quat, shapiro4
-from .arith import brauer_class_of_symbol, rat, rat_str
+from .arith import FactorizationError, brauer_class_of_symbol, rat, rat_str
 from .qform import QuadraticForm
 from .quat import QuaternionAlgebra
 
@@ -362,7 +361,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (csa.AlgebraError, qform.DegenerateFormError, ValueError) as exc:
+    except (
+        csa.AlgebraError,
+        csa.UncomputableInvariant,
+        qform.WitnessSearchLimit,
+        FactorizationError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

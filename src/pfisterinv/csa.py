@@ -8,6 +8,7 @@ involution (degree parity, discriminant, Clifford class pair).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -48,7 +49,10 @@ class StructureAlgebra:
 
     ``table[i][j]`` is a sparse map {k: c} meaning e_i e_j = sum c e_k.
     Associativity and the unit law are checked at construction (exhaustively
-    up to dimension 16, on a deterministic sample beyond).
+    up to dimension 16, on a deterministic sample beyond). Tensor products
+    are not re-validated: the Kronecker structure constants of two
+    associative unital algebras are associative with the product unit by
+    construction, so only their factors are checked.
     """
 
     __slots__ = ("dim", "labels", "table", "unit")
@@ -207,7 +211,7 @@ def tensor_structure(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgeb
                     )
             table.append(row)
     unit = tuple(x * y for x in a.unit for y in b.unit)
-    return StructureAlgebra(labels, table, unit)
+    return StructureAlgebra(labels, table, unit, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -409,34 +413,13 @@ def split_isomorphism(a: InvolutionAlgebra) -> AlgebraIso:
         maps.append(quat.splitting_isomorphism(q))
     degree = 2 ** len(maps)
     images = []
-    for combo in _index_product(len(maps)):
+    for combo in itertools.product(range(4), repeat=len(maps)):
         m = None
         for sm, t in zip(maps, combo):
             factor = sm.images[t]
             m = factor if m is None else linalg.kron(m, factor)
         images.append(m)
     return AlgebraIso(degree, tuple(images))
-
-
-def _index_product(r: int):
-    import itertools
-
-    return itertools.product(range(4), repeat=r)
-
-
-def twisted_conjugation_iso(q: QuaternionAlgebra) -> AlgebraIso:
-    """Isomorphism (Q, gamma) tensor (Q, gamma) -> End(Q) = M_4(Q).
-
-    x tensor y acts on Q by d -> x d gamma(y); works whether or not Q splits.
-    """
-    basis = q.basis()
-    images = []
-    for x in basis:
-        for y in basis:
-            gy = quat.canonical_involution(y)
-            cols = [(x * d * gy).coords for d in basis]
-            images.append(linalg.transpose(linalg.matrix(cols)))
-    return AlgebraIso(4, tuple(images))
 
 
 def adjoint_gram(

@@ -168,7 +168,7 @@ class QuadraticForm:
 
     def invariants(self) -> "FormInvariants":
         if self._invariants is None:
-            self._invariants = _compute_invariants(self)
+            self._invariants = diagonal_invariants(self.squarefree_diagonal())
         return self._invariants
 
     def to_json(self) -> dict:
@@ -306,27 +306,10 @@ def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Fraction, ...], Matrix]
         gv = linalg.mat_vec(gram, v)
         diag.append(linalg.vec_dot(v, gv))
         cols.append(v)
-        # saturated integer kernel of w -> b(v, w) inside the current lattice
-        f = [linalg.vec_dot(gv, w) for w in basis]
-        kernel = linalg.primitive_kernel_basis(list(linalg.clear_denominators(f)))
-        new_remaining = []
-        for coeffs in kernel:
-            vec = linalg.zero_vector(n)
-            for c, w in zip(coeffs, basis):
-                if c:
-                    vec = linalg.vec_add(vec, linalg.vec_scale(Fraction(c), w))
-            new_remaining.append(vec)
-        # size-reduce the complement basis so coordinate growth (and with it
-        # the size of later diagonal values) stays under control
-        if new_remaining:
-            new_remaining = linalg.lll_reduce(new_remaining)
-        remaining = new_remaining
+        # saturated, size-reduced complement of v inside the current lattice:
+        # short vectors keep later diagonal values small
+        remaining = linalg.saturated_constrained_lattice([gv], lattice=basis)
     return tuple(diag), linalg.transpose(linalg.matrix(cols))
-
-
-def diagonalize(q: QuadraticForm) -> tuple[tuple[Fraction, ...], Matrix]:
-    """Diagonal entries and change-of-basis matrix P with P^T.gram.P diagonal."""
-    return q.diagonal(), q.diagonal_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +345,8 @@ class FormInvariants:
         }
 
 
-def _compute_invariants(q: QuadraticForm) -> FormInvariants:
-    diag = q.squarefree_diagonal()
+def diagonal_invariants(diag: Sequence[int]) -> FormInvariants:
+    """Invariants of the form with the given squarefree integer diagonal."""
     n = len(diag)
     det = 1
     for d in diag:
@@ -389,10 +372,6 @@ def _clifford_correction(n: int, det_class: int) -> BrauerClass:
     if r in (5, 6):
         return brauer_class_of_symbol(-1, -1)
     return brauer_class_of_symbol(-1, det_class)
-
-
-def invariants(q: QuadraticForm) -> FormInvariants:
-    return q.invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -693,39 +672,52 @@ def _mitm_stream(diag: Sequence[int], ceiling: int) -> Iterator[tuple[int, ...]]
         bound *= 2
 
 
+def _cheap_zeros(q: QuadraticForm) -> Iterator[Vector]:
+    """Zeros of q that need no search, cheapest first.
+
+    First the standard basis vectors with a zero Gram diagonal entry, then the
+    zero-valued vectors of a form-aware reduction of the standard lattice,
+    which have small coordinates. An explicit zero is a proof of isotropy all
+    by itself, with no appeal to the local-global decision and in particular
+    no integer factorization.
+    """
+    units = [linalg.vector(r) for r in linalg.identity(q.dim)]
+    for i, e in enumerate(units):
+        if q.gram[i][i] == 0:
+            yield e
+    for v in _form_reduce(q.gram, units):
+        if q.evaluate(v) == 0:
+            yield v
+
+
+def _searched_zero(q: QuadraticForm) -> tuple[int, ...]:
+    """A primitive zero of an isotropic q from the bounded diagonal search."""
+    x = next(_diag_witness_stream(q.squarefree_diagonal(), search_ceiling()))
+    w = linalg.clear_denominators(
+        linalg.mat_vec(q.squarefree_basis(), [Fraction(c) for c in x])
+    )
+    assert q.evaluate(w) == 0
+    return w
+
+
 def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
     """Primitive integer vectors v (ambient coordinates) with q(v) == 0.
 
-    One witness comes from a bounded search; after that the projective secant
-    construction through it (the second intersection of lines with the
-    quadric) yields an unbounded deterministic stream covering many
-    directions, so consumers that filter witnesses terminate quickly.
+    The cheap zeros come first, then small combinations of them that stay
+    isotropic (exact filter), which matter to consumers that build further
+    objects out of witnesses; without cheap zeros one witness comes from a
+    bounded search. After that the projective secant construction through the
+    first witness (the second intersection of lines with the quadric) yields
+    an unbounded deterministic stream covering many directions, so consumers
+    that filter witnesses terminate quickly.
     """
-    ceiling = search_ceiling()
     seen = set()
-    base = None
-    # free witnesses from zero Gram diagonal entries
-    for i in range(q.dim):
-        if q.gram[i][i] == 0:
-            v = [0] * q.dim
-            v[i] = 1
-            w = tuple(v)
-            if base is None:
-                base = w
-            seen.add(w)
-            yield w
-    # short witnesses from a form-aware reduction of the standard lattice:
-    # reduced basis vectors of value zero have small coordinates, and small
-    # combinations of them often stay isotropic (exact filter below). Small
-    # witnesses matter to consumers that build further objects out of them.
-    reduced = _form_reduce(q.gram, [linalg.vector(r) for r in linalg.identity(q.dim)])
-    zeros = [v for v in reduced if q.evaluate(v) == 0]
-    for v in zeros:
+    zeros = []
+    for v in _cheap_zeros(q):
         w = linalg.clear_denominators(v)
         if w not in seen:
             seen.add(w)
-            if base is None:
-                base = w
+            zeros.append(v)
             yield w
     if len(zeros) >= 2:
         head = zeros[:4]
@@ -742,13 +734,10 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
             if w not in seen:
                 seen.add(w)
                 yield w
-    if base is None:
-        basis = q.squarefree_basis()
-        x = next(_diag_witness_stream(q.squarefree_diagonal(), ceiling))
-        base = linalg.clear_denominators(
-            linalg.mat_vec(basis, [Fraction(c) for c in x])
-        )
-        assert q.evaluate(base) == 0
+    if zeros:
+        base = linalg.clear_denominators(zeros[0])
+    else:
+        base = _searched_zero(q)
         seen.add(base)
         yield base
     base_vec = linalg.vector(base)
@@ -793,24 +782,6 @@ class IsotropyResult:
         return self.isotropic
 
 
-def _cheap_zero(q: QuadraticForm) -> Optional[tuple[int, ...]]:
-    """Explicit isotropic vector from the form-aware reduction, if one shows up.
-
-    An explicit zero is a proof of isotropy all by itself, with no appeal to
-    the local-global decision and in particular no integer factorization.
-    """
-    for i in range(q.dim):
-        if q.gram[i][i] == 0:
-            v = [0] * q.dim
-            v[i] = 1
-            return tuple(v)
-    reduced = _form_reduce(q.gram, [linalg.vector(r) for r in linalg.identity(q.dim)])
-    for v in reduced:
-        if not linalg.is_zero_vector(v) and q.evaluate(v) == 0:
-            return linalg.clear_denominators(v)
-    return None
-
-
 def is_isotropic(q: QuadraticForm) -> IsotropyResult:
     """Decide isotropy over Q and, when isotropic, produce an explicit zero.
 
@@ -819,9 +790,9 @@ def is_isotropic(q: QuadraticForm) -> IsotropyResult:
     comes from a bounded search that raises WitnessSearchLimit if the ceiling
     is hit.
     """
-    cheap = _cheap_zero(q)
+    cheap = next(_cheap_zeros(q), None)
     if cheap is not None:
-        return IsotropyResult(True, cheap)
+        return IsotropyResult(True, linalg.clear_denominators(cheap))
     if q.dim == 2:
         # binary short-circuit: isotropic iff -a1*a2 is a square, and the
         # square root is the witness -- no factorization needed either way
@@ -836,11 +807,7 @@ def is_isotropic(q: QuadraticForm) -> IsotropyResult:
         return IsotropyResult(True, witness)
     if not _isotropy_decision(q):
         return IsotropyResult(False, None)
-    try:
-        witness = next(isotropic_witnesses(q))
-    except StopIteration:  # pragma: no cover - stream only ends via the ceiling
-        raise WitnessSearchLimit("witness stream exhausted", search_ceiling())
-    return IsotropyResult(True, witness)
+    return IsotropyResult(True, _searched_zero(q))
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +915,7 @@ def is_hyperbolic(q: QuadraticForm) -> bool:
     if q.dim % 2:
         return False
     inv = q.invariants()
-    model = QuadraticForm.from_diagonal([1, -1] * (q.dim // 2)).invariants()
+    model = diagonal_invariants((1, -1) * (q.dim // 2))
     return (
         inv.disc == model.disc
         and inv.signature == 0

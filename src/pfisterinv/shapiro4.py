@@ -199,18 +199,6 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     return UElement(d, u), y
 
 
-def normalize_u(d: InvolutionAlgebra, u0: Vector) -> Vector:
-    """An invertible y with Trd(y u0 gamma(y)) = 0, from the isotropy witness stream."""
-    q0 = q_u_form(d, u0)
-    if not qform.is_isotropic(q0):
-        raise AnisotropicU(u0)
-    for w in qform.isotropic_witnesses(q0):
-        y = linalg.vector(w)
-        if d.algebra.is_invertible(y):
-            return y
-    raise AssertionError("witness stream ended without an invertible vector")
-
-
 # ---------------------------------------------------------------------------
 # the three totally-isotropic-subspace checks
 # ---------------------------------------------------------------------------
@@ -355,7 +343,8 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
     At each step the form restricted to a complement of the span inside its
     orthogonal is again isotropic (its Witt index is half-dimension minus the
     current size), so a witness lifts to a new isotropic vector orthogonal to
-    everything collected so far.
+    everything collected so far. The result is totally isotropic by
+    construction; ``check_lagrangian`` certifies it.
     """
     n = q.dim
     assert n % 2 == 0
@@ -391,10 +380,24 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
             if c:
                 lifted = linalg.vec_add(lifted, linalg.vec_scale(Fraction(c), vec))
         span.append(linalg.vector(linalg.clear_denominators(lifted)))
-    for a in range(len(span)):
-        for b in range(len(span)):
-            assert q.bilinear(span[a], span[b]) == 0
     return span
+
+
+def check_lagrangian(q: QuadraticForm, lagrangian: Sequence[Vector]) -> list[str]:
+    """The vectors span a totally isotropic subspace of half the dimension of q.
+
+    A totally isotropic subspace of a nondegenerate form has at most half its
+    dimension, so passing this check certifies q hyperbolic (Witt index
+    dim/2) by itself.
+    """
+    failures = []
+    if linalg.rank(linalg.matrix(lagrangian)) != q.dim // 2:
+        failures.append("lagrangian: rank is not half the dimension")
+    for a in range(len(lagrangian)):
+        for b in range(a, len(lagrangian)):
+            if q.bilinear(lagrangian[a], lagrangian[b]) != 0:
+                failures.append(f"lagrangian: form does not vanish on pair ({a},{b})")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +477,22 @@ def run_scenario(s: Scenario) -> ScenarioReport:
             lagrangian = extend_to_lagrangian(qu, subspace)
         except (AssertionError, qform.WitnessSearchLimit):
             lagrangian = None
+    witt_index = None
     if lagrangian is not None:
-        # search-free decomposition from the explicit Lagrangian
-        witt = qform.witt_from_lagrangian(qu, lagrangian)
-    else:
-        witt = qform.witt_decompose(qu)
-    if witt.witt_index != 8:
-        failures.append(f"witt: index {witt.witt_index} != 8")
-    if witt.witt_index == 8:
-        # the explicit decomposition certifies the form hyperbolic, so its
-        # invariants are those of the split model and membership in the cubic
-        # ideal is automatic -- no factoring of the huge diagonal needed
-        inv = qform.QuadraticForm.from_diagonal([1, -1] * 8).invariants()
+        lagrangian_failures = check_lagrangian(qu, lagrangian)
+        failures += lagrangian_failures
+        if not lagrangian_failures:
+            witt_index = 8
+    if witt_index is None:
+        witt_index = qform.witt_decompose(qu).witt_index
+    if witt_index == 8:
+        # q_u is hyperbolic, so its invariants are those of the split model
+        # and membership in the cubic ideal is automatic -- no factoring of
+        # the huge diagonal needed
+        inv = qform.diagonal_invariants((1, -1) * 8)
         in_i3 = True
     else:
+        failures.append(f"witt: index {witt_index} != 8")
         inv = qu.invariants()
         in_i3 = qform.in_I_n(qu, 3)
         if not in_i3:
@@ -499,7 +504,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
         branch="hyperbolic",
         invariants=inv.to_json(),
         in_cubic_ideal=in_i3,
-        witt_index=witt.witt_index,
+        witt_index=witt_index,
         isotropic_subspace=subspace,
         lagrangian=lagrangian,
         failures=failures,

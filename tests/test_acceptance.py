@@ -2,6 +2,7 @@
 PASS/FAIL line with its runtime against the budget.  All checks are exact
 (rational arithmetic, zero tolerance)."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -183,16 +184,23 @@ def test_acceptance_6_clifford_cross_validation(capsys):
             ok, time.monotonic() - t0, 10)
 
 
-def test_acceptance_7_main_pipeline(capsys):
+# sha256 of the reference report for --count 25 --seed 7; the report bytes
+# must not change under refactoring
+REFERENCE_REPORT_SHA256 = "41dfc37f6d3f7137b329b03db25fb82d92e20d8274a6d389592de4cb213c85db"
+
+
+def test_acceptance_7_main_pipeline(capsys, tmp_path):
+    report = tmp_path / "out.json"
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "pfisterinv.cli", "shapiro4", "run",
-         "--count", "25", "--seed", "7"],
+         "--count", "25", "--seed", "7", "--json", str(report)],
         capture_output=True, text=True,
     )
     elapsed = time.monotonic() - t0
     passes = proc.stdout.count("verdict=pass")
     ok = proc.returncode == 0 and passes == 25 and "violated" not in proc.stdout
+    ok = ok and hashlib.sha256(report.read_bytes()).hexdigest() == REFERENCE_REPORT_SHA256
     _report(capsys, 7, "all 25 sampled four-quaternion scenarios verified", ok, elapsed, 120)
 
 

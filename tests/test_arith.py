@@ -10,7 +10,6 @@ from pfisterinv.arith import (
     BrauerClass,
     Place,
     ZeroInputError,
-    brauer_add,
     brauer_class_of_symbol,
     factorize,
     hilbert_symbol,

@@ -127,6 +127,20 @@ class TestInv:
         path = self.write(tmp_path, {"factors": []})
         assert run(capsys, "inv", "invariants", path)[0] == 2
 
+    def test_uncomputable_invariant_is_an_error(self, capsys, tmp_path):
+        # e1 of a twisted single quaternion involution has no route
+        path = self.write(
+            tmp_path,
+            {
+                "factors": [{"a": "2", "b": "3", "involution": {"s": ["0", "1", "0", "0"]}}],
+                "twist": ["0", "0", "1", "0"],
+            },
+        )
+        code = main(["inv", "invariants", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestShapiro4:
     def test_run_writes_json(self, capsys, tmp_path):

@@ -77,6 +77,25 @@ class TestTensor:
             gu, gv = x.sigma.apply(u), y.sigma.apply(v)
             assert d.sigma.apply(uv) == tuple(a * b for a in gu for b in gv)
 
+    def test_tensor_products_pass_the_exhaustive_check(self):
+        # tensor products are not validated at construction; associativity
+        # and the unit law hold by construction, and the check confirms it
+        products = [
+            tensor(canonical(-1, -1), canonical(2, 3)),  # non-split canonical pair
+            tensor(canonical(1, 5), canonical(4, -3)),  # split pair
+            tensor(
+                tensor(canonical(-1, -1), canonical(2, 3)),
+                tensor(canonical(-1, 5), canonical(3, 7)),
+            ),
+        ]
+        for d in products:
+            d.algebra._validate()
+        alg = products[0].algebra
+        broken = [list(row) for row in alg.table]
+        broken[1][2] = {0: Fraction(1)}
+        with pytest.raises(AlgebraError):
+            csa.StructureAlgebra(alg.labels, broken, alg.unit)
+
 
 class TestAdjoint:
     def test_transpose_gives_identity_gram(self):

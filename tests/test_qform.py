@@ -55,7 +55,7 @@ class TestConstruction:
 
 class TestDiagonalize:
     def test_identity(self):
-        diag, _ = qform.diagonalize(QuadraticForm([[1, 0], [0, 1]]))
+        diag = QuadraticForm([[1, 0], [0, 1]]).diagonal()
         assert list(diag) == [1, 1]
 
     def test_hyperbolic_plane(self):
@@ -70,7 +70,7 @@ class TestDiagonalize:
     def test_congruence_property(self):
         for n in range(1, 6):
             q = QuadraticForm.from_diagonal(range(1, n + 1))
-            diag, p = qform.diagonalize(q)
+            diag, p = q.diagonal(), q.diagonal_basis()
             lhs = linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(q.gram, p))
             for i in range(n):
                 for j in range(n):
@@ -236,6 +236,11 @@ class TestHyperbolicIsometric:
         assert is_hyperbolic(QuadraticForm.from_diagonal([1, -1, 2, -2]))
         assert not is_hyperbolic(QuadraticForm.from_diagonal([1, 1, 1, 1]))
         assert not is_hyperbolic(QuadraticForm.from_diagonal([1, 2, -1]))
+        # the split model's invariants, read from its squarefree diagonal
+        for k in range(1, 9):
+            q = QuadraticForm.from_diagonal([1, -1] * k)
+            assert qform.diagonal_invariants((1, -1) * k) == q.invariants()
+            assert is_hyperbolic(q)
 
     def test_isotropic_pfister_is_hyperbolic(self):
         for a, b in [(1, 7), (2, 2), (5, -1)]:

@@ -170,3 +170,13 @@ class TestExtendToLagrangian:
         for a in span:
             for b in span:
                 assert q.bilinear(a, b) == 0
+        assert shapiro4.check_lagrangian(q, span) == []
+
+    def test_check_lagrangian_rejects(self):
+        q = qform.QuadraticForm.from_diagonal([1, -1, 1, -1])
+        line = linalg.vector([1, 1, 0, 0])
+        assert shapiro4.check_lagrangian(q, [line, line]) == [
+            "lagrangian: rank is not half the dimension"
+        ]
+        failures = shapiro4.check_lagrangian(q, [line, linalg.vector([0, 0, 1, 0])])
+        assert failures == ["lagrangian: form does not vanish on pair (1,1)"]
