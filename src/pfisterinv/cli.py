@@ -179,21 +179,13 @@ def _cmd_inv(args) -> int:
     if e1 != 1:
         print("e2 undefined: e1 nonzero")
     else:
-        try:
-            pair = csa.e2(a)
-            labels = sorted(",".join(c.labels()) or "trivial" for c in pair.classes)
-            print(f"e2 = {{{'; '.join(labels)}}} (trivial: {pair.is_trivial})")
-        except csa.UncomputableInvariant as exc:
-            print(f"e2 uncomputable: {exc}")
-            return EXIT_NEGATIVE
+        pair = csa.e2(a)
+        labels = sorted(",".join(c.labels()) or "trivial" for c in pair.classes)
+        print(f"e2 = {{{'; '.join(labels)}}} (trivial: {pair.is_trivial})")
     if a.degree in (2, 4, 8):
-        try:
-            verdict = csa.is_pfister_involution(a)
-            print(f"pfister involution: {verdict}")
-            if not verdict:
-                code = EXIT_NEGATIVE
-        except csa.UncomputableInvariant as exc:
-            print(f"pfister verdict uncomputable: {exc}")
+        verdict = csa.is_pfister_involution(a)
+        print(f"pfister involution: {verdict}")
+        if not verdict:
             code = EXIT_NEGATIVE
     return code
 

@@ -55,7 +55,7 @@ class StructureAlgebra:
     construction, so only their factors are checked.
     """
 
-    __slots__ = ("dim", "labels", "table", "unit")
+    __slots__ = ("dim", "labels", "table", "unit", "trace_row")
 
     def __init__(self, labels, table, unit, validate: bool = True):
         self.labels = tuple(labels)
@@ -65,6 +65,10 @@ class StructureAlgebra:
             for row in table
         )
         self.unit = linalg.vector(unit)
+        # t_i = Tr(L_{e_i}): the e_j-coefficient of e_i e_j, summed over j
+        self.trace_row = tuple(
+            Fraction(sum(row[j].get(j, 0) for j in range(self.dim))) for row in self.table
+        )
         if validate:
             self._validate()
 
@@ -105,16 +109,42 @@ class StructureAlgebra:
         return deg
 
     def trd(self, x: Sequence[Fraction]) -> Fraction:
-        """Reduced trace: trace of the regular representation over the degree."""
-        m = self.regular_matrix(x)
-        return sum(m[i][i] for i in range(self.dim)) / self.degree()
+        """Reduced trace Tr(L_x)/deg, with Tr(L_x) = sum x_i t_i: no multiplication."""
+        return linalg.vec_dot(x, self.trace_row) / self.degree()
+
+    def trace_form(self) -> Matrix:
+        """The bilinear trace form: row s holds Trd(e_s e_k) for every k."""
+        t, deg = self.trace_row, self.degree()
+        return tuple(
+            tuple(Fraction(sum(c * t[j] for j, c in cell.items()), deg) for cell in row)
+            for row in self.table
+        )
 
     def reduced_char_poly(self, x: Sequence[Fraction]) -> list[Fraction]:
-        """Monic polynomial p of degree deg with p^deg the regular char poly."""
-        cp = linalg.charpoly(self.regular_matrix(x))
-        return linalg.poly_nth_root(cp, self.degree())
+        """Monic p of degree deg with p^deg the char poly of L_x, descending.
+
+        Newton's identities turn the power sums s_k = Trd(x^k), k = 1..deg,
+        into the coefficients (deg - 1 multiplications). The exact check
+        p(x) = 0 certifies them: every eigenvalue of L_x is then a root of p,
+        and Tr(L_x^k) = deg s_k for k = 0..deg, a Vandermonde system on the
+        distinct roots, gives p^deg = char poly. That is at least as strong
+        as ``linalg.poly_nth_root`` of ``linalg.charpoly``, the tests'
+        reference. Raises ValueError when p(x) != 0.
+        """
+        deg = self.degree()
+        powers = [self.unit, linalg.vector(x)]
+        while len(powers) <= deg:
+            powers.append(self.mul(powers[-1], powers[1]))
+        s = [self.trd(pw) for pw in powers]
+        c = [Fraction(1)]
+        for k in range(1, deg + 1):
+            c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
+        if any(linalg.vec_dot(c, col) for col in zip(*reversed(powers))):
+            raise ValueError("no reduced characteristic polynomial: p(x) != 0")
+        return c
 
     def nrd(self, x: Sequence[Fraction]) -> Fraction:
+        """Reduced norm: (-1)^deg times the constant term of the reduced char poly."""
         p = self.reduced_char_poly(x)
         deg = self.degree()
         return p[-1] if deg % 2 == 0 else -p[-1]

@@ -200,7 +200,11 @@ def intersect_row_spaces(a_rows: Sequence[Vector], b_rows: Sequence[Vector]) -> 
 
 
 def charpoly(a: Matrix) -> list[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(X I - a) via Faddeev-LeVerrier."""
+    """Coefficients [1, c1, ..., cn] of det(X I - a) via Faddeev-LeVerrier.
+
+    Off the pipeline path: the tests' O(n^4) reference for
+    ``StructureAlgebra.reduced_char_poly``.
+    """
     n = len(a)
     coeffs = [ONE]
     m = a

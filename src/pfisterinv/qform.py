@@ -126,6 +126,13 @@ class QuadraticForm:
     def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
         return linalg.vec_dot(linalg.vector(u), linalg.mat_vec(self.gram, linalg.vector(v)))
 
+    def pairing(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> Matrix:
+        """The matrix of b(u, v), u in ``us`` by row: one Gram product per v."""
+        gvs = [linalg.mat_vec(self.gram, linalg.vector(v)) for v in vs]
+        return tuple(
+            tuple(linalg.vec_dot(u, gv) for gv in gvs) for u in map(linalg.vector, us)
+        )
+
     def diagonal(self) -> tuple[Fraction, ...]:
         """Diagonal entries of a fixed diagonalization."""
         self._ensure_diagonal()
@@ -161,10 +168,7 @@ class QuadraticForm:
 
     def restrict(self, vectors: Sequence[Sequence]) -> "QuadraticForm":
         """Gram of the form restricted to the span of the given vectors."""
-        vs = [linalg.vector(v) for v in vectors]
-        return QuadraticForm(
-            [[self.bilinear(u, v) for v in vs] for u in vs]
-        )
+        return QuadraticForm(self.pairing(vectors, vectors))
 
     def invariants(self) -> "FormInvariants":
         if self._invariants is None:

@@ -111,21 +111,17 @@ class UElement:
 
 
 def q_u_form(d: InvolutionAlgebra, u: Sequence[Fraction]) -> QuadraticForm:
-    """The trace form q_u(x) = Trd(x u gamma(x)) on the 16 basis coordinates."""
+    """The trace form q_u(x) = Trd(x u gamma(x)) on the 16 basis coordinates.
+
+    M[s][t] = Trd(e_s u gamma(e_t)) is the algebra's trace form applied to
+    the columns u gamma(e_t), and the Gram matrix is (M + M^T)/2.
+    """
     alg, g = d.algebra, d.sigma
-    trace_row = tuple(alg.trd(alg.basis_vector(t)) for t in range(alg.dim))
-
-    def trd_of(v: Vector) -> Fraction:
-        return sum(a * b for a, b in zip(trace_row, v))
-
-    gram = [[Fraction(0)] * alg.dim for _ in range(alg.dim)]
     right = [alg.mul(u, g.apply(alg.basis_vector(t))) for t in range(alg.dim)]
-    for s in range(alg.dim):
-        es = alg.basis_vector(s)
-        for t in range(s, alg.dim):
-            val = (trd_of(alg.mul(es, right[t])) + trd_of(alg.mul(alg.basis_vector(t), right[s]))) / 2
-            gram[s][t] = gram[t][s] = val
-    return QuadraticForm(gram)
+    m = [[linalg.vec_dot(row, r) for r in right] for row in alg.trace_form()]
+    return QuadraticForm(
+        [[(m[s][t] + m[t][s]) / 2 for t in range(alg.dim)] for s in range(alg.dim)]
+    )
 
 
 class AnisotropicU(RuntimeError):
@@ -151,7 +147,7 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
 
     The normalizing witness is searched on the form x -> lambda Trd(x
     gamma(x)), which right multiplication by gamma(c) carries exactly onto
-    q_{u0} (the congruence is asserted). That form has tiny entries, so the
+    q_{u0} (the congruence is checked exactly). That form has tiny entries, so the
     witness z -- and with it y = z gamma(c) and u = y u0 gamma(y), a scalar
     times z gamma(z) -- stays small. Keeping u small is what keeps the
     diagonal of its trace form factorable later.
@@ -165,25 +161,24 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     cgc = alg.mul(s.c, g.apply(s.c))
     nrd_cgc = alg.nrd(cgc)
     u0 = tuple(s.lam * nrd_cgc * x for x in alg.inverse(cgc))
-    assert all(x.denominator == 1 for x in u0)
+    if any(x.denominator != 1 for x in u0):
+        raise ScenarioError("Nrd(c gamma(c)) (c gamma(c))^{-1} is not integral")
     content = 0
     for x in u0:
         content = math.gcd(content, int(x))
     u0 = tuple(x / content for x in u0)
-    assert g.apply(u0) == u0
+    if g.apply(u0) != u0:
+        raise ScenarioError("u0 is not symmetric under the involution")
     if alg.trd(u0) == 0:
         return UElement(d, u0), alg.unit
     # scalar mu with u0 = mu (c gamma(c))^{-1}: q_{u0}(x gamma(c)) = mu Trd(x gamma(x))
     mu = alg.mul(u0, cgc)[0]
     q_small = q_u_form(d, tuple(mu if t == 0 else Fraction(0) for t in range(alg.dim)))
     gc = g.apply(s.c)
-    right_gc = linalg.transpose(
-        linalg.matrix([alg.mul(alg.basis_vector(t), gc) for t in range(alg.dim)])
-    )
+    rows = [alg.mul(alg.basis_vector(t), gc) for t in range(alg.dim)]
     q0 = q_u_form(d, u0)
-    assert linalg.mat_mul(
-        linalg.transpose(right_gc), linalg.mat_mul(q0.gram, right_gc)
-    ) == q_small.gram
+    if q0.pairing(rows, rows) != q_small.gram:
+        raise ScenarioError("right multiplication by gamma(c) is not a congruence")
     if not qform.is_isotropic(q_small):
         raise AnisotropicU(u0)
     for w in qform.isotropic_witnesses(q_small):
@@ -193,7 +188,8 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     else:  # pragma: no cover - stream only ends via the search ceiling
         raise AssertionError("witness stream ended without an invertible vector")
     y = alg.mul(z, gc)
-    assert q0.evaluate(y) == 0
+    if q0.evaluate(y) != 0:
+        raise ScenarioError("normalizing element is not isotropic for q_{u0}")
     u = alg.mul(alg.mul(y, u0), g.apply(y))
     u = tuple(Fraction(x) for x in linalg.clear_denominators(u))
     return UElement(d, u), y
@@ -213,11 +209,12 @@ def check_claim_1(d: InvolutionAlgebra, z: Vector, qz: QuadraticForm) -> list[st
     failures = []
     alg = d.algebra
     basis = [_embed_q1([1 if t == s else 0 for t in range(4)]) for s in range(4)]
+    pairs = qz.pairing(basis, basis)
     for a in range(4):
         if alg.trd(alg.mul(basis[a], z)) != 0:
             failures.append(f"claim1: Trd(e{a} z) != 0")
         for b in range(4):
-            if qz.bilinear(basis[a], basis[b]) != 0:
+            if pairs[a][b] != 0:
                 failures.append(f"claim1: form does not vanish on pair ({a},{b})")
     return failures
 
@@ -228,20 +225,21 @@ def w_subspace(
     u: UElement,
     y: Vector,
     q_pure: Sequence[Fraction],
+    c_inv: Vector,
+    gy_inv: Vector,
 ) -> list[Vector]:
     """The 3-dimensional subspace W_q attached to a pure quaternion q of Q2.
 
     W_q is the conjugate by c of {x (x) q : x pure in Q1}, transported through
     the normalization by conjugation with gamma(y). Each basis element w is
-    checked to satisfy gamma(w) u = u w and w^2 scalar.
+    checked to satisfy gamma(w) u = u w and w^2 scalar. ``c_inv`` and
+    ``gy_inv`` are the inverses of c and gamma(y), shared by every q.
     """
     alg, g = d.algebra, d.sigma
     q_pure = linalg.vector(q_pure)
     if q_pure[0] != 0 or linalg.is_zero_vector(q_pure):
         raise ScenarioError("q must be a nonzero pure quaternion")
-    c_inv = alg.inverse(s.c)
     gy = g.apply(y)
-    gy_inv = alg.inverse(gy)
     basis = []
     for t in range(1, 4):
         x = [Fraction(0)] * 4
@@ -266,13 +264,14 @@ def check_claim_2(
     failures = []
     alg, g = d.algebra, d.sigma
     gw = [g.apply(w) for w in w_basis]
+    pairs = qu.pairing(gw, gw)
     for a, w in enumerate(w_basis):
         sq = csa._scalar_of(alg, alg.mul(w, w))
-        if qu.evaluate(gw[a]) != sq * alg.trd(u.coords):
+        if pairs[a][a] != sq * alg.trd(u.coords):
             failures.append(f"claim2: q_u(gamma(w{a})) != w^2 Trd(u)")
     for a in range(len(gw)):
         for b in range(len(gw)):
-            if qu.bilinear(gw[a], gw[b]) != 0:
+            if pairs[a][b] != 0:
                 failures.append(f"claim2: form does not vanish on pair ({a},{b})")
     return failures
 
@@ -318,10 +317,13 @@ def check_claim_3_and_assemble(
     echelonized basis and the list of violated identities (empty on success).
     """
     failures: list[str] = []
+    alg = d.algebra
+    c_inv = alg.inverse(s.c)
+    gy_inv = alg.inverse(d.sigma.apply(y))
     q1_basis = [_embed_q1([1 if t == a else 0 for t in range(4)]) for a in range(4)]
     span = list(q1_basis)
     for pure in ([0, 1, 0, 0], [0, 0, 1, 0]):
-        w_basis = w_subspace(s, d, u, y, pure)
+        w_basis = w_subspace(s, d, u, y, pure, c_inv, gy_inv)
         failures += check_claim_2(d, u, w_basis, qu)
         v_basis = build_V_q(d, u, w_basis)
         span = linalg.row_space_basis(span + v_basis)
@@ -329,9 +331,10 @@ def check_claim_3_and_assemble(
             break
     if len(span) < 5:
         failures.append("claim3: assembled subspace has dimension < 5")
+    pairs = qu.pairing(span, span)
     for a in range(len(span)):
         for b in range(len(span)):
-            if qu.bilinear(span[a], span[b]) != 0:
+            if pairs[a][b] != 0:
                 failures.append(f"claim3: form does not vanish on pair ({a},{b})")
                 break
     return [linalg.vector(v) for v in span], failures
@@ -393,9 +396,10 @@ def check_lagrangian(q: QuadraticForm, lagrangian: Sequence[Vector]) -> list[str
     failures = []
     if linalg.rank(linalg.matrix(lagrangian)) != q.dim // 2:
         failures.append("lagrangian: rank is not half the dimension")
+    pairs = q.pairing(lagrangian, lagrangian)
     for a in range(len(lagrangian)):
         for b in range(a, len(lagrangian)):
-            if q.bilinear(lagrangian[a], lagrangian[b]) != 0:
+            if pairs[a][b] != 0:
                 failures.append(f"lagrangian: form does not vanish on pair ({a},{b})")
     return failures
 

@@ -141,6 +141,22 @@ class TestInv:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_uncomputable_clifford_pair_is_an_error(self, capsys, tmp_path):
+        # e1 = 1 through the reduced norm of the twist, but e2 of a twisted
+        # non-split product has no route
+        path = self.write(
+            tmp_path,
+            {
+                "factors": [{"a": "-1", "b": "-1"}, {"a": "-1", "b": "-1"}],
+                "twist": ["1"] + ["0"] * 15,
+            },
+        )
+        code = main(["inv", "invariants", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "e1 = 1" in captured.out
+        assert captured.err == "error: twisted non-split algebra\n"
+
 
 class TestShapiro4:
     def test_run_writes_json(self, capsys, tmp_path):

@@ -290,3 +290,122 @@ class TestPfisterInvolution:
             assert is_pfister_involution(a) in (True, False)
         a8, _ = adjoint_algebra(qform.pfister([2, 3, 5]))
         assert is_pfister_involution(a8)
+
+
+def _random_element(rng, dim):
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+
+
+def _regular_trd(alg, x):
+    m = alg.regular_matrix(x)
+    return sum(m[i][i] for i in range(alg.dim)) / alg.degree()
+
+
+def _q_u_gram_reference(d, u):
+    """The per-entry formula (Trd(e_s r_t) + Trd(e_t r_s))/2, r_t = u gamma(e_t)."""
+    alg, g = d.algebra, d.sigma
+    n = alg.dim
+    trace_row = [_regular_trd(alg, alg.basis_vector(t)) for t in range(n)]
+    right = [alg.mul(u, g.apply(alg.basis_vector(t))) for t in range(n)]
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for s in range(n):
+        for t in range(s, n):
+            a = alg.mul(alg.basis_vector(s), right[t])
+            b = alg.mul(alg.basis_vector(t), right[s])
+            val = (linalg.vec_dot(trace_row, a) + linalg.vec_dot(trace_row, b)) / 2
+            gram[s][t] = gram[t][s] = val
+    return linalg.matrix(gram)
+
+
+class TestReducedTraceNorm:
+    ALGEBRAS = {
+        "split D": lambda: tensor(canonical(1, 5), canonical(2, -2)).algebra,
+        "non-split D": lambda: tensor(canonical(-1, -1), canonical(2, 3)).algebra,
+        "quaternion": lambda: csa.quaternion_structure(Q_HAMILTON),
+        "M_3": lambda: csa.matrix_structure(3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_newton_matches_the_regular_char_poly(self, name):
+        alg = self.ALGEBRAS[name]()
+        deg = alg.degree()
+        rng = random.Random(name)
+        elements = [alg.unit, linalg.zero_vector(alg.dim)]
+        elements += [_random_element(rng, alg.dim) for _ in range(2)]
+        for x in elements:
+            reference = linalg.poly_nth_root(
+                linalg.charpoly(alg.regular_matrix(x)), deg
+            )
+            p = alg.reduced_char_poly(x)
+            assert p == reference
+            assert alg.nrd(x) == (reference[-1] if deg % 2 == 0 else -reference[-1])
+            assert alg.trd(x) == _regular_trd(alg, x) == -reference[1]
+
+    def test_odd_degree_norm_is_the_determinant(self):
+        alg = csa.matrix_structure(3)
+        rng = random.Random(3)
+        unit_e00 = alg.basis_vector(0)
+        nilpotent = alg.basis_vector(1)
+        for x in [unit_e00, nilpotent] + [_random_element(rng, 9) for _ in range(3)]:
+            m = linalg.matrix([x[3 * r : 3 * r + 3] for r in range(3)])
+            assert alg.nrd(x) == linalg.det(m)
+            assert alg.trd(x) == m[0][0] + m[1][1] + m[2][2]
+
+    def test_quaternion_matches_quat(self):
+        alg = csa.quaternion_structure(Q_SPLIT)
+        rng = random.Random(5)
+        for _ in range(4):
+            x = _random_element(rng, 4)
+            elem = Q_SPLIT.element(x)
+            assert alg.trd(x) == quat.trd(elem)
+            assert alg.nrd(x) == quat.nrd(elem)
+
+    def test_commutative_algebra_is_rejected(self):
+        # four orthogonal idempotents: L_x has four distinct eigenvalues,
+        # which no monic quadratic annihilates
+        table = [[{i: 1} if i == j else {} for j in range(4)] for i in range(4)]
+        alg = csa.StructureAlgebra(["e0", "e1", "e2", "e3"], table, [1, 1, 1, 1])
+        x = linalg.vector([1, 2, 3, 4])
+        with pytest.raises(ValueError):
+            alg.reduced_char_poly(x)
+        with pytest.raises(ValueError):
+            alg.nrd(x)
+        with pytest.raises(ValueError):
+            linalg.poly_nth_root(linalg.charpoly(alg.regular_matrix(x)), 2)
+
+    def test_trace_form_rows(self):
+        alg = tensor(canonical(-1, -1), canonical(2, 3)).algebra
+        tf = alg.trace_form()
+        for s in range(alg.dim):
+            for k in range(alg.dim):
+                product = alg.mul(alg.basis_vector(s), alg.basis_vector(k))
+                assert tf[s][k] == _regular_trd(alg, product)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_q_u_form_matches_the_per_entry_formula(self, seed):
+        from pfisterinv.shapiro4 import build_D, make_u, q_u_form, sample_scenario
+
+        s = sample_scenario(seed)
+        d = build_D(s.q1, s.q2)
+        u, _ = make_u(s)
+        assert q_u_form(d, u.coords).gram == _q_u_gram_reference(d, u.coords)
+
+    def test_pairing_matches_bilinear(self):
+        rng = random.Random(11)
+        n = 5
+        while True:
+            g = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+            if linalg.det(linalg.matrix(g)) != 0:
+                break
+        q = QuadraticForm(g)
+        us = [_random_element(rng, n) for _ in range(3)]
+        vs = [_random_element(rng, n) for _ in range(4)]
+        table = q.pairing(us, vs)
+        assert len(table) == 3 and all(len(row) == 4 for row in table)
+        for a, u in enumerate(us):
+            for b, v in enumerate(vs):
+                assert table[a][b] == q.bilinear(u, v)
+        assert q.restrict(vs).gram == q.pairing(vs, vs)
