@@ -252,8 +252,8 @@ def _cmd_verify_u(args) -> int:
     if not qform.in_I_n(qu, 3):
         failures.append("trace form is not in the cubic ideal")
     failures += shapiro4.check_claim_1(d, u.coords, qu)
-    if qform.is_isotropic(qu):
-        witt = qform.witt_decompose(qu)
+    witt = qform.witt_decompose(qu)
+    if witt.witt_index > 0:
         branch = "hyperbolic"
         print(f"branch=hyperbolic witt_index={witt.witt_index}")
         if witt.witt_index != 8:

@@ -98,7 +98,7 @@ class StructureAlgebra:
         return tuple(out)
 
     def regular_matrix(self, x: Sequence[Fraction]) -> Matrix:
-        """Matrix of left multiplication by x."""
+        """Matrix of left multiplication by x (the tests' reference for ``inverse``)."""
         cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
         return linalg.transpose(linalg.matrix(cols))
 
@@ -123,14 +123,16 @@ class StructureAlgebra:
     def reduced_char_poly(self, x: Sequence[Fraction]) -> list[Fraction]:
         """Monic p of degree deg with p^deg the char poly of L_x, descending.
 
-        Newton's identities turn the power sums s_k = Trd(x^k), k = 1..deg,
-        into the coefficients (deg - 1 multiplications). The exact check
-        p(x) = 0 certifies them: every eigenvalue of L_x is then a root of p,
-        and Tr(L_x^k) = deg s_k for k = 0..deg, a Vandermonde system on the
-        distinct roots, gives p^deg = char poly. That is at least as strong
-        as ``linalg.poly_nth_root`` of ``linalg.charpoly``, the tests'
-        reference. Raises ValueError when p(x) != 0.
+        For a central simple algebra: Newton's identities on s_k = Trd(x^k),
+        k = 1..deg (deg - 1 multiplications), certified by the exact check
+        p(x) = 0 (every eigenvalue of L_x is then a root of p, and the power
+        sums fix the multiplicities by a Vandermonde system). At least as
+        strong as the tests' reference, ``linalg.poly_nth_root`` of
+        ``linalg.charpoly``. Raises ValueError when p(x) != 0.
         """
+        return self._char_poly_and_powers(x)[0]
+
+    def _char_poly_and_powers(self, x):
         deg = self.degree()
         powers = [self.unit, linalg.vector(x)]
         while len(powers) <= deg:
@@ -141,22 +143,28 @@ class StructureAlgebra:
             c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
         if any(linalg.vec_dot(c, col) for col in zip(*reversed(powers))):
             raise ValueError("no reduced characteristic polynomial: p(x) != 0")
-        return c
+        return c, powers
 
     def nrd(self, x: Sequence[Fraction]) -> Fraction:
         """Reduced norm: (-1)^deg times the constant term of the reduced char poly."""
         p = self.reduced_char_poly(x)
-        deg = self.degree()
-        return p[-1] if deg % 2 == 0 else -p[-1]
+        return p[-1] if self.degree() % 2 == 0 else -p[-1]
 
     def is_invertible(self, x: Sequence[Fraction]) -> bool:
-        return linalg.det(self.regular_matrix(x)) != 0
+        """Nrd(x) != 0, for x in a central simple algebra (else x is a zero divisor)."""
+        return self.reduced_char_poly(x)[-1] != 0
 
     def inverse(self, x: Sequence[Fraction]) -> Vector:
-        sol = linalg.solve(self.regular_matrix(x), self.unit)
-        if sol is None:
+        """-(x^{deg-1} + c_1 x^{deg-2} + ... + c_{deg-1}) / c_deg, for x in a CSA.
+
+        Exact, since p(x) = 0 was checked, and free of further multiplication.
+        Raises ZeroDivisionError when c_deg = 0 (x is a zero divisor).
+        """
+        c, powers = self._char_poly_and_powers(x)
+        if c[-1] == 0:
             raise ZeroDivisionError("element is not invertible")
-        return sol
+        cols = zip(*reversed(powers[:-1]))
+        return tuple(-linalg.vec_dot(c[:-1], col) / c[-1] for col in cols)
 
     # -- validation ---------------------------------------------------------
 
@@ -727,9 +735,6 @@ class CliffordAlgebra(StructureAlgebra):
 
     def generator(self, t: int) -> Vector:
         return self.basis_vector(1 << t)
-
-    def even_part_indices(self) -> list[int]:
-        return [m for m in range(self.dim) if bin(m).count("1") % 2 == 0]
 
 
 def clifford_algebra(q: QuadraticForm) -> CliffordAlgebra:

@@ -694,26 +694,17 @@ def _cheap_zeros(q: QuadraticForm) -> Iterator[Vector]:
             yield v
 
 
-def _searched_zero(q: QuadraticForm) -> tuple[int, ...]:
-    """A primitive zero of an isotropic q from the bounded diagonal search."""
-    x = next(_diag_witness_stream(q.squarefree_diagonal(), search_ceiling()))
-    w = linalg.clear_denominators(
-        linalg.mat_vec(q.squarefree_basis(), [Fraction(c) for c in x])
-    )
-    assert q.evaluate(w) == 0
-    return w
-
-
 def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
     """Primitive integer vectors v (ambient coordinates) with q(v) == 0.
 
-    The cheap zeros come first, then small combinations of them that stay
-    isotropic (exact filter), which matter to consumers that build further
-    objects out of witnesses; without cheap zeros one witness comes from a
-    bounded search. After that the projective secant construction through the
-    first witness (the second intersection of lines with the quadric) yields
-    an unbounded deterministic stream covering many directions, so consumers
-    that filter witnesses terminate quickly.
+    The one isotropy route: empty iff q is anisotropic, endless otherwise
+    (a binary form's stream ends with its two isotropic lines).
+    First the cheap zeros and small combinations of them that stay isotropic.
+    Without cheap zeros, a binary form is decided by a square root; any other
+    by the local-global principle, and a bounded search (WitnessSearchLimit
+    at the ceiling) gives its first zero. The secant construction through
+    the first zero then yields an unbounded deterministic stream covering
+    many directions, so consumers that filter witnesses terminate quickly.
     """
     seen = set()
     zeros = []
@@ -740,12 +731,31 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
                 yield w
     if zeros:
         base = linalg.clear_denominators(zeros[0])
+    elif q.dim == 2:
+        # binary: isotropic iff -a1*a2 is a square, and its root is the
+        # witness -- no factorization needed either way
+        d0, d1 = q.diagonal()
+        try:
+            t = sqrt_rational(-d0 / d1)
+        except ValueError:
+            return
+        v = linalg.mat_vec(q.diagonal_basis(), (Fraction(1), t))
+        base = linalg.clear_denominators(v)
+    elif not _isotropy_decision(q):
+        return
     else:
-        base = _searched_zero(q)
+        x = next(_diag_witness_stream(q.squarefree_diagonal(), search_ceiling()))
+        v = linalg.mat_vec(q.squarefree_basis(), [Fraction(c) for c in x])
+        base = linalg.clear_denominators(v)
+    if base not in seen:
+        assert q.evaluate(base) == 0
         seen.add(base)
         yield base
     base_vec = linalg.vector(base)
-    for z in _direction_stream(q.dim):
+    directions = _direction_stream(q.dim)
+    if q.dim == 2:  # two isotropic lines: the secant through e1 or e2 is the other
+        directions = itertools.islice(directions, 2)
+    for z in directions:
         zb = q.bilinear(base_vec, z)
         qz = q.evaluate(z)
         candidate = linalg.vec_sub(
@@ -789,29 +799,12 @@ class IsotropyResult:
 def is_isotropic(q: QuadraticForm) -> IsotropyResult:
     """Decide isotropy over Q and, when isotropic, produce an explicit zero.
 
-    A cheap explicit search runs first (a found zero is already a proof);
-    otherwise the decision is by the local-global principle, and the witness
-    comes from a bounded search that raises WitnessSearchLimit if the ceiling
-    is hit.
+    The first element of ``isotropic_witnesses(q)``, which is empty exactly
+    when q is anisotropic; WitnessSearchLimit when the bounded search for that
+    first witness hits the ceiling.
     """
-    cheap = next(_cheap_zeros(q), None)
-    if cheap is not None:
-        return IsotropyResult(True, linalg.clear_denominators(cheap))
-    if q.dim == 2:
-        # binary short-circuit: isotropic iff -a1*a2 is a square, and the
-        # square root is the witness -- no factorization needed either way
-        d0, d1 = q.diagonal()
-        try:
-            t = sqrt_rational(-d0 / d1)
-        except ValueError:
-            return IsotropyResult(False, None)
-        v = linalg.mat_vec(q.diagonal_basis(), (Fraction(1), t))
-        witness = linalg.clear_denominators(v)
-        assert q.evaluate(witness) == 0
-        return IsotropyResult(True, witness)
-    if not _isotropy_decision(q):
-        return IsotropyResult(False, None)
-    return IsotropyResult(True, _searched_zero(q))
+    witness = next(isotropic_witnesses(q), None)
+    return IsotropyResult(witness is not None, witness)
 
 
 # ---------------------------------------------------------------------------

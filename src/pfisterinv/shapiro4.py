@@ -38,6 +38,10 @@ class ScenarioError(ValueError):
     pass
 
 
+class CertificateError(RuntimeError):
+    """An exact check on a constructed certificate failed."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Input data: two quaternion symbols, an invertible c in D, a scalar, a seed."""
@@ -179,14 +183,13 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     q0 = q_u_form(d, u0)
     if q0.pairing(rows, rows) != q_small.gram:
         raise ScenarioError("right multiplication by gamma(c) is not a congruence")
-    if not qform.is_isotropic(q_small):
-        raise AnisotropicU(u0)
+    # a nonempty stream is endless: it ends only when q_small is anisotropic
     for w in qform.isotropic_witnesses(q_small):
         z = linalg.vector(w)
         if alg.is_invertible(z):
             break
-    else:  # pragma: no cover - stream only ends via the search ceiling
-        raise AssertionError("witness stream ended without an invertible vector")
+    else:
+        raise AnisotropicU(u0)
     y = alg.mul(z, gc)
     if q0.evaluate(y) != 0:
         raise ScenarioError("normalizing element is not isotropic for q_{u0}")
@@ -299,7 +302,8 @@ def build_V_q(
         raise ScenarioError("T meets gamma(W_q) in dimension < 2")
     v_basis = meet[:2]
     for z in v_basis:
-        assert alg.trd(alg.mul(u.coords, g.apply(z))) == 0
+        if alg.trd(alg.mul(u.coords, g.apply(z))) != 0:
+            raise ScenarioError("V_q is not inside the trace functional's kernel")
     return [linalg.vector(z) for z in v_basis]
 
 
@@ -347,10 +351,12 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
     orthogonal is again isotropic (its Witt index is half-dimension minus the
     current size), so a witness lifts to a new isotropic vector orthogonal to
     everything collected so far. The result is totally isotropic by
-    construction; ``check_lagrangian`` certifies it.
+    construction; ``check_lagrangian`` certifies it. Raises CertificateError
+    when a step shows that q is not hyperbolic.
     """
     n = q.dim
-    assert n % 2 == 0
+    if n % 2:
+        raise CertificateError("odd-dimensional form has no Lagrangian")
     span = [
         linalg.vector(linalg.clear_denominators(v))
         for v in linalg.row_space_basis(basis)
@@ -374,10 +380,11 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
             stacked = list(span) + quot + [v]
             if len(linalg.row_space_basis(stacked)) == len(stacked):
                 quot.append(v)
-        assert len(quot) == target, "orthogonal must surject onto the quotient"
-        sub = q.restrict(quot)
-        res = qform.is_isotropic(sub)
-        assert res.isotropic, "hyperbolic form must keep an isotropic complement"
+        if len(quot) != target:
+            raise CertificateError("orthogonal does not surject onto the quotient")
+        res = qform.is_isotropic(q.restrict(quot))
+        if not res.isotropic:
+            raise CertificateError("form is not hyperbolic: anisotropic complement")
         lifted = linalg.zero_vector(n)
         for c, vec in zip(res.witness, quot):
             if c:
@@ -479,7 +486,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     if not claim_failures:
         try:
             lagrangian = extend_to_lagrangian(qu, subspace)
-        except (AssertionError, qform.WitnessSearchLimit):
+        except (CertificateError, qform.WitnessSearchLimit):
             lagrangian = None
     witt_index = None
     if lagrangian is not None:

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON output, file-based inputs."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -201,6 +203,32 @@ class TestShapiro4:
         )
         code, _ = run(capsys, "shapiro4", "verify-u", str(p))
         assert code == 2
+
+    def test_verify_u_seed_7(self, capsys, tmp_path):
+        # q1, q2 and u of the seed-7 report of `shapiro4 run`
+        u = ["0"] * 16
+        u[5:8] = ["48269", "11729", "3"]
+        p = tmp_path / "u.json"
+        p.write_text(
+            json.dumps({"q1": {"a": "-3", "b": "2"}, "q2": {"a": "5", "b": "11"}, "u": u})
+        )
+        code, out = run(capsys, "shapiro4", "verify-u", str(p))
+        assert code == 0
+        assert "branch=hyperbolic witt_index=8" in out
+        assert "verdict=pass (hyperbolic)" in out
+
+    def test_run_bytes_survive_python_O(self, tmp_path):
+        paths = []
+        for flags in ([], ["-O"]):
+            path = tmp_path / f"report{''.join(flags)}.json"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "pfisterinv.cli", "shapiro4", "run",
+                 "--count", "2", "--seed", "7", "--json", str(path)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_missing_file(self, capsys):
         assert run(capsys, "shapiro4", "verify", "/nonexistent.json")[0] == 2

@@ -341,6 +341,33 @@ class TestReducedTraceNorm:
             assert alg.nrd(x) == (reference[-1] if deg % 2 == 0 else -reference[-1])
             assert alg.trd(x) == _regular_trd(alg, x) == -reference[1]
 
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_inverse_matches_the_regular_solve(self, name):
+        alg = self.ALGEBRAS[name]()
+        rng = random.Random(f"{name} inverse")
+        elements = [alg.unit, linalg.zero_vector(alg.dim), alg.basis_vector(1)]
+        elements += [_random_element(rng, alg.dim) for _ in range(3)]
+        for x in elements:
+            m = alg.regular_matrix(x)
+            assert alg.is_invertible(x) == (linalg.det(m) != 0)
+            if alg.is_invertible(x):
+                assert alg.inverse(x) == linalg.solve(m, alg.unit)
+                assert alg.mul(x, alg.inverse(x)) == alg.unit
+            else:
+                assert linalg.solve(m, alg.unit) is None
+                with pytest.raises(ZeroDivisionError):
+                    alg.inverse(x)
+
+    def test_zero_divisor_of_split_D(self):
+        alg = self.ALGEBRAS["split D"]()
+        i = alg.basis_vector(4)  # i (x) 1 with i^2 = 1 in (1, 5)
+        x = linalg.vec_add(alg.unit, i)
+        assert alg.mul(x, linalg.vec_sub(alg.unit, i)) == linalg.zero_vector(alg.dim)
+        assert linalg.det(alg.regular_matrix(x)) == 0
+        assert not alg.is_invertible(x)
+        with pytest.raises(ZeroDivisionError):
+            alg.inverse(x)
+
     def test_odd_degree_norm_is_the_determinant(self):
         alg = csa.matrix_structure(3)
         rng = random.Random(3)

@@ -170,6 +170,31 @@ class TestIsotropy:
             res2 = is_isotropic(QuadraticForm.from_diagonal(entries[::-1]))
             assert not res2.isotropic
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            QuadraticForm.from_diagonal(entries)
+            for entries in ([1, -9], [3, -75], [1, 1, -1], [1, 1, -2], [1, 2, 3, -5, -7])
+        ]
+        + [QuadraticForm([[0, 1], [1, 0]])],
+    )
+    def test_is_isotropic_is_the_first_witness(self, q):
+        res = is_isotropic(q)
+        assert res.isotropic
+        assert res.witness == next(qform.isotropic_witnesses(q))
+
+    def test_binary_witness_without_cheap_zeros(self):
+        q = QuadraticForm.from_diagonal([3, -75])
+        assert next(qform._cheap_zeros(q), None) is None
+        # the witness of the square root first, then the other isotropic line
+        assert list(qform.isotropic_witnesses(q)) == [(5, -1), (5, 1)]
+
+    @pytest.mark.parametrize("entries", [[1, 1, 1], [3, 5, -7], [1, 1, 1, 1, 1], [1, -2]])
+    def test_anisotropic_stream_is_empty(self, entries):
+        q = QuadraticForm.from_diagonal(entries)
+        assert list(qform.isotropic_witnesses(q)) == []
+        assert is_isotropic(q) == qform.IsotropyResult(False, None)
+
 
 class TestWitt:
     def test_hyperbolic_plane(self):

@@ -172,6 +172,13 @@ class TestExtendToLagrangian:
                 assert q.bilinear(a, b) == 0
         assert shapiro4.check_lagrangian(q, span) == []
 
+    def test_anisotropic_complement_is_a_certificate_error(self):
+        # <1, 1, 1, -1> has Witt index 1: the complement of (1, 0, 0, 1) is
+        # the anisotropic <1, 1>, so the line has no Lagrangian to grow into
+        q = qform.QuadraticForm.from_diagonal([1, 1, 1, -1])
+        with pytest.raises(shapiro4.CertificateError):
+            shapiro4.extend_to_lagrangian(q, [linalg.vector([1, 0, 0, 1])])
+
     def test_check_lagrangian_rejects(self):
         q = qform.QuadraticForm.from_diagonal([1, -1, 1, -1])
         line = linalg.vector([1, 1, 0, 0])
