@@ -263,7 +263,8 @@ def square_classes(values: Iterable[RationalLike]) -> list[int]:
                 e += 1
             if e % 2:
                 odd *= b
-        assert n == 1, "coprime basis failed to exhaust a value"
+        if n != 1:
+            raise FactorizationError("coprime basis failed to exhaust a value")
         rep = square_class(odd)
         out.append(rep if x > 0 else -rep)
     return out

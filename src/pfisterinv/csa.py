@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence, Union
 
 from . import linalg, quat
@@ -23,7 +22,7 @@ from .arith import (
     rat_str,
     square_class,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Scalar, Vector
 from .qform import QuadraticForm
 from .quat import OrthogonalInvolution, QuaternionAlgebra, QuaternionElement
 
@@ -61,13 +60,13 @@ class StructureAlgebra:
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.table = tuple(
-            tuple({k: Fraction(c) for k, c in cell.items() if c != 0} for cell in row)
+            tuple({k: linalg.scalar(c) for k, c in cell.items() if c != 0} for cell in row)
             for row in table
         )
         self.unit = linalg.vector(unit)
         # t_i = Tr(L_{e_i}): the e_j-coefficient of e_i e_j, summed over j
         self.trace_row = tuple(
-            Fraction(sum(row[j].get(j, 0) for j in range(self.dim))) for row in self.table
+            sum(row[j].get(j, 0) for j in range(self.dim)) for row in self.table
         )
         if validate:
             self._validate()
@@ -75,16 +74,14 @@ class StructureAlgebra:
     # -- basic arithmetic ---------------------------------------------------
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(
-            Fraction(1) if t == i else Fraction(0) for t in range(self.dim)
-        )
+        return tuple(1 if t == i else 0 for t in range(self.dim))
 
     def scalar(self, c) -> Vector:
-        c = rat(c)
+        c = linalg.scalar(rat(c))
         return tuple(c * u for u in self.unit)
 
-    def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        out = [Fraction(0)] * self.dim
+    def mul(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
@@ -97,7 +94,7 @@ class StructureAlgebra:
                     out[k] += f * c
         return tuple(out)
 
-    def regular_matrix(self, x: Sequence[Fraction]) -> Matrix:
+    def regular_matrix(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of left multiplication by x (the tests' reference for ``inverse``)."""
         cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
         return linalg.transpose(linalg.matrix(cols))
@@ -108,19 +105,19 @@ class StructureAlgebra:
             raise AlgebraError("dimension is not a perfect square")
         return deg
 
-    def trd(self, x: Sequence[Fraction]) -> Fraction:
+    def trd(self, x: Sequence[Scalar]) -> Scalar:
         """Reduced trace Tr(L_x)/deg, with Tr(L_x) = sum x_i t_i: no multiplication."""
-        return linalg.vec_dot(x, self.trace_row) / self.degree()
+        return linalg.div(linalg.vec_dot(x, self.trace_row), self.degree())
 
     def trace_form(self) -> Matrix:
         """The bilinear trace form: row s holds Trd(e_s e_k) for every k."""
         t, deg = self.trace_row, self.degree()
         return tuple(
-            tuple(Fraction(sum(c * t[j] for j, c in cell.items()), deg) for cell in row)
+            tuple(linalg.div(sum(c * t[j] for j, c in cell.items()), deg) for cell in row)
             for row in self.table
         )
 
-    def reduced_char_poly(self, x: Sequence[Fraction]) -> list[Fraction]:
+    def reduced_char_poly(self, x: Sequence[Scalar]) -> list[Scalar]:
         """Monic p of degree deg with p^deg the char poly of L_x, descending.
 
         For a central simple algebra: Newton's identities on s_k = Trd(x^k),
@@ -138,33 +135,45 @@ class StructureAlgebra:
         while len(powers) <= deg:
             powers.append(self.mul(powers[-1], powers[1]))
         s = [self.trd(pw) for pw in powers]
-        c = [Fraction(1)]
+        c = [1]
         for k in range(1, deg + 1):
-            c.append(-sum(c[i] * s[k - i] for i in range(k)) / k)
+            c.append(linalg.div(-sum(c[i] * s[k - i] for i in range(k)), k))
         if any(linalg.vec_dot(c, col) for col in zip(*reversed(powers))):
             raise ValueError("no reduced characteristic polynomial: p(x) != 0")
         return c, powers
 
-    def nrd(self, x: Sequence[Fraction]) -> Fraction:
+    def nrd(self, x: Sequence[Scalar]) -> Scalar:
         """Reduced norm: (-1)^deg times the constant term of the reduced char poly."""
         p = self.reduced_char_poly(x)
         return p[-1] if self.degree() % 2 == 0 else -p[-1]
 
-    def is_invertible(self, x: Sequence[Fraction]) -> bool:
+    def is_invertible(self, x: Sequence[Scalar]) -> bool:
         """Nrd(x) != 0, for x in a central simple algebra (else x is a zero divisor)."""
         return self.reduced_char_poly(x)[-1] != 0
 
-    def inverse(self, x: Sequence[Fraction]) -> Vector:
-        """-(x^{deg-1} + c_1 x^{deg-2} + ... + c_{deg-1}) / c_deg, for x in a CSA.
+    def adjugate(self, x: Sequence[Scalar]) -> Vector:
+        """x^# = -(x^{deg-1} + c_1 x^{deg-2} + ... + c_{deg-1}), for x in a CSA.
 
-        Exact, since p(x) = 0 was checked, and free of further multiplication.
+        x x^# = x^# x = c_deg, since p(x) = 0 was checked; so x^# is
+        c_deg x^{-1} when x is invertible. It needs no division and is
+        integral when x and the structure constants are.
+        """
+        return self._adjugate_and_constant(x)[0]
+
+    def inverse(self, x: Sequence[Scalar]) -> Vector:
+        """x^# / c_deg, for x in a CSA: exact and free of further multiplication.
+
         Raises ZeroDivisionError when c_deg = 0 (x is a zero divisor).
         """
-        c, powers = self._char_poly_and_powers(x)
-        if c[-1] == 0:
+        adj, c_deg = self._adjugate_and_constant(x)
+        if c_deg == 0:
             raise ZeroDivisionError("element is not invertible")
+        return tuple(linalg.div(a, c_deg) for a in adj)
+
+    def _adjugate_and_constant(self, x):
+        c, powers = self._char_poly_and_powers(x)
         cols = zip(*reversed(powers[:-1]))
-        return tuple(-linalg.vec_dot(c[:-1], col) / c[-1] for col in cols)
+        return tuple(-linalg.vec_dot(c[:-1], col) for col in cols), c[-1]
 
     # -- validation ---------------------------------------------------------
 
@@ -193,7 +202,7 @@ class StructureAlgebra:
                 raise AlgebraError(f"associativity fails on basis triple {(i, j, k)}")
 
     def _basis_product(self, i: int, j: int) -> Vector:
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for k, c in self.table[i][j].items():
             out[k] = c
         return tuple(out)
@@ -222,9 +231,9 @@ def matrix_structure(n: int) -> StructureAlgebra:
             row = []
             for s in range(n):
                 for d in range(n):
-                    row.append({idx(r, d): Fraction(1)} if c == s else {})
+                    row.append({idx(r, d): 1} if c == s else {})
             table.append(row)
-    unit = [Fraction(1) if r == c else Fraction(0) for r in range(n) for c in range(n)]
+    unit = [1 if r == c else 0 for r in range(n) for c in range(n)]
     return StructureAlgebra(labels, table, unit)
 
 
@@ -263,18 +272,34 @@ class Involution:
 
     The type tag is cross-checked against the dimension of the fixed space:
     an orthogonal involution on a degree-n algebra fixes n(n+1)/2 dimensions,
-    a symplectic one n(n-1)/2.
+    a symplectic one n(n-1)/2. With ``validate=False`` only that check runs:
+    the tensor product of two validated involutions is an involution of the
+    tensor product algebra by construction.
     """
 
     algebra: StructureAlgebra
     matrix: Matrix
     type_tag: str
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
-        alg, m = self.algebra, self.matrix
+    def __post_init__(self, validate: bool):
+        if validate:
+            self._validate()
+        deg = self.algebra.degree()
+        sym = self.symmetric_dimension()
+        expected = {"orthogonal": deg * (deg + 1) // 2, "symplectic": deg * (deg - 1) // 2}
+        if self.type_tag not in expected:
+            raise AlgebraError(f"unknown involution type {self.type_tag!r}")
+        if sym != expected[self.type_tag]:
+            raise AlgebraError(
+                f"symmetric dimension {sym} contradicts type {self.type_tag}"
+            )
+
+    def _validate(self):
+        alg = self.algebra
         n = alg.dim
         for i in range(n):
-            e = self.algebra.basis_vector(i)
+            e = alg.basis_vector(i)
             if self.apply(self.apply(e)) != e:
                 raise AlgebraError("involution must square to the identity")
         if self.apply(alg.unit) != alg.unit:
@@ -291,17 +316,8 @@ class Involution:
             rhs = alg.mul(self.apply(alg.basis_vector(j)), self.apply(alg.basis_vector(i)))
             if lhs != rhs:
                 raise AlgebraError("involution is not an anti-automorphism")
-        deg = alg.degree()
-        sym = self.symmetric_dimension()
-        expected = {"orthogonal": deg * (deg + 1) // 2, "symplectic": deg * (deg - 1) // 2}
-        if self.type_tag not in expected:
-            raise AlgebraError(f"unknown involution type {self.type_tag!r}")
-        if sym != expected[self.type_tag]:
-            raise AlgebraError(
-                f"symmetric dimension {sym} contradicts type {self.type_tag}"
-            )
 
-    def apply(self, x: Sequence[Fraction]) -> Vector:
+    def apply(self, x: Sequence[Scalar]) -> Vector:
         # involution matrices arising here are sparse (signed scaled
         # permutations for the most part); accumulate nonzero columns only
         cols = getattr(self, "_sparse_cols", None)
@@ -316,7 +332,7 @@ class Involution:
                 for j in range(n)
             )
             object.__setattr__(self, "_sparse_cols", cols)
-        out = [Fraction(0)] * self.algebra.dim
+        out = [0] * self.algebra.dim
         for j, xj in enumerate(x):
             if xj == 0:
                 continue
@@ -328,8 +344,7 @@ class Involution:
         # the matrix squares to the identity, so its +1-eigenspace has
         # dimension (n + trace)/2
         n = self.algebra.dim
-        tr = sum(self.matrix[i][i] for i in range(n))
-        num = Fraction(n) + tr
+        num = n + sum(self.matrix[i][i] for i in range(n))
         if num.denominator != 1 or num.numerator % 2:
             raise AlgebraError("involution trace is not consistent with order 2")
         return num.numerator // 2
@@ -391,7 +406,7 @@ def tensor(x: InvolutionAlgebra, y: InvolutionAlgebra) -> InvolutionAlgebra:
     alg = tensor_structure(x.algebra, y.algebra)
     m = linalg.kron(x.sigma.matrix, y.sigma.matrix)
     tag = _TYPE_PRODUCT[(x.sigma.type_tag, y.sigma.type_tag)]
-    sigma = Involution(alg, m, tag)
+    sigma = Involution(alg, m, tag, validate=False)
     factors = None
     if x.factors is not None and y.factors is not None:
         factors = x.factors + y.factors
@@ -403,7 +418,7 @@ def tensor(x: InvolutionAlgebra, y: InvolutionAlgebra) -> InvolutionAlgebra:
     return InvolutionAlgebra(alg, sigma, factors, twist)
 
 
-def twist_involution(a: InvolutionAlgebra, u: Sequence[Fraction]) -> InvolutionAlgebra:
+def twist_involution(a: InvolutionAlgebra, u: Sequence[Scalar]) -> InvolutionAlgebra:
     """Replace sigma by Int(u) o sigma for a sigma-symmetric invertible u."""
     u = linalg.vector(u)
     alg = a.algebra
@@ -429,9 +444,9 @@ class AlgebraIso:
     degree: int
     images: tuple[Matrix, ...]
 
-    def apply(self, x: Sequence[Fraction]) -> Matrix:
+    def apply(self, x: Sequence[Scalar]) -> Matrix:
         n = self.degree
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         for c, m in zip(x, self.images):
             if c != 0:
                 for r in range(n):
@@ -486,7 +501,7 @@ def adjoint_gram(
         # unknowns G[p][q] flattened as p*n+q
         for r in range(n):
             for c in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
                     row[r * n + k] += s[k][c]
                     row[k * n + c] -= m[k][r]
@@ -503,7 +518,7 @@ def adjoint_gram(
             raise AlgebraError("adjoint form is alternating: involution is symplectic")
         raise AlgebraError("adjoint Gram is neither symmetric nor alternating")
     flat_int = linalg.clear_denominators(flat)
-    g = [[Fraction(flat_int[r * n + c]) for c in range(n)] for r in range(n)]
+    g = [[flat_int[r * n + c] for c in range(n)] for r in range(n)]
     return QuadraticForm(g)
 
 
@@ -531,10 +546,7 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
     cols = []
     for r in range(n):
         for c in range(n):
-            e = tuple(
-                tuple(Fraction(1) if (i, j) == (r, c) else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
+            e = tuple(tuple(int((i, j) == (r, c)) for j in range(n)) for i in range(n))
             img = linalg.mat_mul(g_inv, linalg.mat_mul(linalg.transpose(e), g))
             cols.append(tuple(img[i][j] for i in range(n) for j in range(n)))
     m = linalg.transpose(linalg.matrix(cols))
@@ -543,10 +555,7 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
     for r in range(n):
         for c in range(n):
             images.append(
-                tuple(
-                    tuple(Fraction(1) if (i, j) == (r, c) else Fraction(0) for j in range(n))
-                    for i in range(n)
-                )
+                tuple(tuple(int((i, j) == (r, c)) for j in range(n)) for i in range(n))
             )
     iso = AlgebraIso(n, tuple(images))
     return InvolutionAlgebra(alg, sigma, matrix_iso=iso), iso
@@ -699,11 +708,11 @@ class CliffordAlgebra(StructureAlgebra):
 
     __slots__ = ("generators_squares",)
 
-    def __init__(self, diag: Sequence[Fraction]):
+    def __init__(self, diag: Sequence[Scalar]):
         n = len(diag)
         if n > MAX_CLIFFORD_DIM:
             raise AlgebraError(f"Clifford construction capped at dimension {MAX_CLIFFORD_DIM}")
-        diag = [rat(d) for d in diag]
+        diag = [linalg.scalar(rat(d)) for d in diag]
         dim = 1 << n
         labels = []
         for mask in range(dim):
@@ -714,7 +723,7 @@ class CliffordAlgebra(StructureAlgebra):
             row = []
             for t_mask in range(dim):
                 sign = 1
-                coeff = Fraction(1)
+                coeff = 1
                 # move each generator of t past the tail of s, squaring overlaps
                 acc = s_mask
                 for t in range(n):
@@ -729,7 +738,7 @@ class CliffordAlgebra(StructureAlgebra):
                         acc |= 1 << t
                 row.append({acc: sign * coeff})
             table.append(row)
-        unit = [Fraction(1) if m == 0 else Fraction(0) for m in range(dim)]
+        unit = [1 if m == 0 else 0 for m in range(dim)]
         super().__init__(labels, table, unit)
         self.generators_squares = tuple(diag)
 
@@ -742,14 +751,12 @@ def clifford_algebra(q: QuadraticForm) -> CliffordAlgebra:
     return CliffordAlgebra(q.diagonal())
 
 
-def _scalar_of(alg: StructureAlgebra, x: Vector) -> Fraction:
+def _scalar_of(alg: StructureAlgebra, x: Vector) -> Scalar:
     """The scalar c with x = c.1; raises if x is not central-scalar."""
-    c = None
-    for t, (xt, ut) in enumerate(zip(x, alg.unit)):
-        if ut != 0:
-            c = xt / ut
-            break
-    assert c is not None
+    t = next((t for t, ut in enumerate(alg.unit) if ut != 0), None)
+    if t is None:
+        raise AlgebraError("the unit is zero")
+    c = linalg.div(x[t], alg.unit[t])
     if x != alg.scalar(c):
         raise AlgebraError("element is not a scalar")
     return c

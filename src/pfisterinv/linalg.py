@@ -1,24 +1,48 @@
-"""Exact dense linear algebra over Fraction.
+"""Exact dense linear algebra over Q.
 
 Matrices are tuples of row tuples, vectors are tuples. Nothing here mutates
 its inputs; intermediate work happens on lists.
+
+The scalar rule: a value is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise, never a ``float``. ``scalar`` normalizes
+one value, ``vector`` and ``matrix`` normalize their entries, and every
+division goes through ``div``, which is exact (``int / int`` would be a
+float). Python ints and Fractions compare and hash equal, so the rule
+changes no result, only the cost of getting it: elimination (``det``,
+``rref``) is fraction-free on integer rows, with one division at the end.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-Vector = tuple[Fraction, ...]
+Scalar = Union[int, Fraction]
+Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def scalar(x) -> Scalar:
+    """x as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, as an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(map(scalar, entries))
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -26,11 +50,22 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
+    return (0,) * n
+
+
+def integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """(D * rows, D) for D the least common denominator of all entries."""
+    denom = 1
+    for r in rows:
+        for x in r:
+            d = x.denominator
+            if d != 1:
+                denom = denom * d // math.gcd(denom, d)
+    return [[x.numerator * (denom // x.denominator) for x in r] for r in rows], denom
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -44,27 +79,27 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
+def mat_vec(a: Matrix, v: Sequence[Scalar]) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     return tuple(x + y for x, y in zip(u, v))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     return tuple(x - y for x, y in zip(u, v))
 
 
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
+def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vector:
     return tuple(c * x for x in v)
 
 
-def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(x * y for x, y in zip(u, v))
 
 
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
+def is_zero_vector(v: Sequence[Scalar]) -> bool:
     return all(x == 0 for x in v)
 
 
@@ -76,66 +111,73 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return tuple(rows)
 
 
-def det(a: Matrix) -> Fraction:
+def det(a: Matrix) -> Scalar:
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
+
+    The common denominator is cleared first; every ``//`` below divides
+    exactly, and the one real division is the last line.
+    """
     n = len(a)
-    m = [list(row) for row in a]
-    result = ONE
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
+    m, denom = integer_rows(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
         if pivot is None:
-            return ZERO
+            return 0
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
-            result = -result
-        result *= m[k][k]
-        inv = ONE / m[k][k]
+            sign = -sign
+        mk = m[k]
+        p = mk[k]
         for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return result
+            mi = m[i]
+            f = mi[k]
+            mi[k + 1:] = [(p * x - f * y) // prev for x, y in zip(mi[k + 1:], mk[k + 1:])]
+        prev = p
+    last = m[n - 1][n - 1] if n else 1
+    return div(sign * last, denom ** n)
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+def rref(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan: the rows are scaled to integers (which keeps
+    the row space), and after every pivot all rows are integers whose pivot
+    entries equal the current pivot minor, every ``//`` dividing exactly.
+    The rows are divided by that minor once, at the end; the reduced echelon
+    form of a row space is unique, so the result is the usual one.
+    """
+    m, _ = integer_rows(list(rows))
     if not m:
         return [], []
     ncols = len(m[0])
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        mr = m[r]
+        p = mr[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], mr)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[div(x, prev) for x in row] for row in m[:r]], pivots
 
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def row_space_basis(rows: Iterable[Sequence[Fraction]]) -> list[Vector]:
+def row_space_basis(rows: Iterable[Sequence[Scalar]]) -> list[Vector]:
     reduced, _ = rref(rows)
     return [tuple(r) for r in reduced]
 
@@ -149,22 +191,22 @@ def nullspace(a: Matrix) -> list[Vector]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][fc]
         basis.append(tuple(v))
     return basis
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
+def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
     """One solution of a x = b, or None if inconsistent."""
     if not a:
         return None
     ncols = len(a[0])
     aug = [list(row) + [bb] for row, bb in zip(a, b)]
     reduced, pivots = rref(aug)
-    x = [ZERO] * ncols
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
         if pc == ncols:
             return None  # pivot in the constant column
@@ -199,29 +241,29 @@ def intersect_row_spaces(a_rows: Sequence[Vector], b_rows: Sequence[Vector]) -> 
     return row_space_basis(vecs)
 
 
-def charpoly(a: Matrix) -> list[Fraction]:
+def charpoly(a: Matrix) -> list[Scalar]:
     """Coefficients [1, c1, ..., cn] of det(X I - a) via Faddeev-LeVerrier.
 
     Off the pipeline path: the tests' O(n^4) reference for
     ``StructureAlgebra.reduced_char_poly``.
     """
     n = len(a)
-    coeffs = [ONE]
+    coeffs = [1]
     m = a
     for k in range(1, n + 1):
-        ck = -sum(m[i][i] for i in range(n)) / k
+        ck = div(-sum(m[i][i] for i in range(n)), k)
         coeffs.append(ck)
         if k < n:
             shifted = tuple(
-                tuple(m[i][j] + (ck if i == j else ZERO) for j in range(n))
+                tuple(m[i][j] + (ck if i == j else 0) for j in range(n))
                 for i in range(n)
             )
             m = mat_mul(a, shifted)
     return coeffs
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [ZERO] * (len(p) + len(q) - 1)
+def poly_mul(p: Sequence[Scalar], q: Sequence[Scalar]) -> list[Scalar]:
+    out = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         if x != 0:
             for j, y in enumerate(q):
@@ -229,20 +271,20 @@ def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def poly_nth_root(p: Sequence[Fraction], k: int) -> list[Fraction]:
+def poly_nth_root(p: Sequence[Scalar], k: int) -> list[Scalar]:
     """Monic q with q^k == p (coefficients descending); raises if none exists."""
-    p = [Fraction(x) for x in p]
+    p = list(vector(p))
     if p[0] != 1 or (len(p) - 1) % k:
         raise ValueError("not a perfect polynomial power")
     m = (len(p) - 1) // k
-    q = [ONE] + [ZERO] * m
+    q = [1] + [0] * m
     for t in range(1, m + 1):
         cur = q[:1] + q[1:]
-        power = [ONE]
+        power = [1]
         for _ in range(k):
             power = poly_mul(power, cur)
-        q[t] = (p[t] - power[t]) / k
-    power = [ONE]
+        q[t] = div(p[t] - power[t], k)
+    power = [1]
     for _ in range(k):
         power = poly_mul(power, q)
     if power != p:
@@ -286,7 +328,8 @@ def primitive_kernel_basis(f: Sequence[int]) -> list[tuple[int, ...]]:
     for i, ci in coeff.items():
         x0[i] = ci * g  # f . x0 == 1
     full = matrix([x0] + basis)
-    assert abs(det(full)) == 1, "kernel basis is not saturated"
+    if abs(det(full)) != 1:
+        raise ValueError("kernel basis is not saturated")
     return [tuple(r) for r in basis]
 
 
@@ -306,7 +349,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def saturated_constrained_lattice(
-    constraints: Sequence[Sequence[Fraction]],
+    constraints: Sequence[Sequence[Scalar]],
     lattice: Sequence[Vector],
 ) -> list[Vector]:
     """LLL-reduced basis of the sublattice of ``lattice`` annihilated by C.
@@ -327,7 +370,7 @@ def saturated_constrained_lattice(
             v = zero_vector(ambient)
             for c, b in zip(coeffs, lattice):
                 if c:
-                    v = vec_add(v, vec_scale(Fraction(c), b))
+                    v = vec_add(v, vec_scale(c, b))
             new_lattice.append(v)
         lattice = lll_reduce(new_lattice) if new_lattice else []
         if not lattice:
@@ -335,7 +378,7 @@ def saturated_constrained_lattice(
     return lattice
 
 
-def lll_reduce(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
+def lll_reduce(rows: Sequence[Sequence[Scalar]]) -> list[Vector]:
     """Lenstra-Lenstra-Lovasz reduction of independent rows (Euclidean metric).
 
     Used to keep basis vectors (and hence restricted Gram matrices and form
@@ -354,12 +397,7 @@ def lll_reduce(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
     Raises ValueError if the rows are linearly dependent.
     """
-    basis = [[Fraction(x) for x in r] for r in rows]
-    denom = 1
-    for r in basis:
-        for x in r:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    b = [[int(x * denom) for x in r] for r in basis]
+    b, denom = integer_rows(matrix(rows))
     m = len(b)
     # integral Gram-Schmidt: d[i] is the Gram determinant of rows 0 .. i-1
     # and lam[i][j] = d[j + 1] * mu[i][j], both integers; every // below
@@ -409,18 +447,15 @@ def lll_reduce(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
             lam[i][k - 1] = (new_d * s + t * lam[i][k]) // d[k + 1]
         d[k] = new_d
         k = max(k - 1, 1)
-    return [tuple(Fraction(x, denom) for x in r) for r in b]
+    return [tuple(div(x, denom) for x in r) for r in b]
 
 
-def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
+def clear_denominators(v: Sequence[Scalar]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 
     The first nonzero entry of the result is positive.
     """
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
+    ints = integer_rows([v])[0][0]
     g = 0
     for x in ints:
         g = math.gcd(g, x)

@@ -33,7 +33,7 @@ from .arith import (
     square_class,
     square_classes,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Scalar, Vector
 
 DEFAULT_SEARCH_CEILING = 10**6
 
@@ -44,6 +44,10 @@ def search_ceiling() -> int:
 
 class DegenerateFormError(ValueError):
     """The Gram matrix is singular; only non-degenerate forms are supported."""
+
+
+class CertificateError(RuntimeError):
+    """An exact check on a constructed certificate failed."""
 
 
 class WitnessSearchLimit(RuntimeError):
@@ -101,9 +105,9 @@ class QuadraticForm:
         sf_diag, sf_cols = [], []
         cols = linalg.transpose(self._basis)
         for d, s, col in zip(self._diag, square_classes(self._diag), cols):
-            t = sqrt_rational(d / s)
+            t = sqrt_rational(linalg.div(d, s))
             sf_diag.append(s)
-            sf_cols.append(linalg.vec_scale(1 / t, col))
+            sf_cols.append(linalg.vec_scale(linalg.div(1, t), col))
         self._sf_diag = tuple(sf_diag)
         self._sf_basis = linalg.transpose(linalg.matrix(sf_cols))
 
@@ -119,11 +123,11 @@ class QuadraticForm:
     def dim(self) -> int:
         return len(self.gram)
 
-    def evaluate(self, v: Sequence) -> Fraction:
+    def evaluate(self, v: Sequence) -> Scalar:
         v = linalg.vector(v)
         return linalg.vec_dot(v, linalg.mat_vec(self.gram, v))
 
-    def bilinear(self, u: Sequence, v: Sequence) -> Fraction:
+    def bilinear(self, u: Sequence, v: Sequence) -> Scalar:
         return linalg.vec_dot(linalg.vector(u), linalg.mat_vec(self.gram, linalg.vector(v)))
 
     def pairing(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> Matrix:
@@ -133,7 +137,7 @@ class QuadraticForm:
             tuple(linalg.vec_dot(u, gv) for gv in gvs) for u in map(linalg.vector, us)
         )
 
-    def diagonal(self) -> tuple[Fraction, ...]:
+    def diagonal(self) -> tuple[Scalar, ...]:
         """Diagonal entries of a fixed diagonalization."""
         self._ensure_diagonal()
         return self._diag
@@ -204,17 +208,13 @@ def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
     |q(b_j)|; against an isotropic b_i the translate is chosen to cancel the
     value through the cross term. Values are integers after clearing the Gram
     denominator, so the strict decrease terminates. Keeping the |q(b)| small
-    is what keeps diagonal entries factorable.
+    is what keeps diagonal entries factorable. The basis vectors must be
+    integral; the reduced ones are returned as int tuples.
     """
-    denom = 1
-    for row in gram:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    g_int = [[int(x * denom) for x in row] for row in gram]
-    work = []
-    for v in basis:
-        assert all(Fraction(x).denominator == 1 for x in v)
-        work.append([int(x) for x in v])
+    g_int, _ = linalg.integer_rows(gram)
+    if any(x.denominator != 1 for v in basis for x in v):
+        raise ValueError("form reduction needs integral basis vectors")
+    work = [[x.numerator for x in v] for v in basis]
     m = len(work)
     n = len(g_int)
 
@@ -252,10 +252,10 @@ def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
                     work[j], vals[j] = best
                     improved = True
     order = sorted(range(m), key=lambda t: (abs(vals[t]), work[t]))
-    return [tuple(Fraction(x) for x in work[t]) for t in order]
+    return [tuple(work[t]) for t in order]
 
 
-def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Fraction, ...], Matrix]:
+def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Scalar, ...], Matrix]:
     """Orthogonal basis of the form: returns (diag, P) with P^T G P = diag(diag).
 
     Works down a chain of orthogonal complements, size-reducing each complement
@@ -269,9 +269,9 @@ def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Fraction, ...], Matrix]
     def bil(u, v):
         return linalg.vec_dot(u, linalg.mat_vec(gram, v))
 
-    remaining = [linalg.vector(row) for row in linalg.identity(n)]
+    remaining = list(linalg.identity(n))
     cols: list[Vector] = []
-    diag: list[Fraction] = []
+    diag: list[Scalar] = []
     while remaining:
         basis = _form_reduce(gram, remaining)
         values = [bil(v, v) for v in basis]
@@ -293,7 +293,7 @@ def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Fraction, ...], Matrix]
                 if cand_val == 0:
                     cand_val = values[b] + 2 * (t + 2) * bz
                     t += 1
-                cand = linalg.vec_add(wv, linalg.vec_scale(Fraction(t + 1), basis[a]))
+                cand = linalg.vec_add(wv, linalg.vec_scale(t + 1, basis[a]))
                 if hyp is None or abs(cand_val) < abs(hyp[0]):
                     hyp = (cand_val, cand)
         if hyp is not None and (best is None or abs(hyp[0]) < best[0]):
@@ -304,7 +304,7 @@ def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Fraction, ...], Matrix]
             # all values and all cross terms vanish: totally degenerate
             # block; zero entries make the caller reject
             for v in basis:
-                diag.append(Fraction(0))
+                diag.append(0)
                 cols.append(v)
             break
         gv = linalg.mat_vec(gram, v)
@@ -385,7 +385,7 @@ def _clifford_correction(n: int, det_class: int) -> BrauerClass:
 
 def pfister(slots: Sequence) -> QuadraticForm:
     """The 2^r-dimensional tensor product of the binary forms <1, -a_i>."""
-    entries = [Fraction(1)]
+    entries = [1]
     for a in slots:
         a = rat(a)
         if a == 0:
@@ -541,11 +541,9 @@ def _conic_point(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
             w = [0, 0, 0]
             w[idx] = 1
             basis = _lattice_mod_condition(basis, w, p)
-        scaled = [
-            [Fraction(x * wt) for x, wt in zip(row, weights)] for row in basis
-        ]
+        scaled = [[x * wt for x, wt in zip(row, weights)] for row in basis]
         reduced = [
-            [int(x / wt) for x, wt in zip(row, weights)]
+            [x // wt for x, wt in zip(row, weights)]
             for row in linalg.lll_reduce(scaled)
         ]
         for combo in itertools.product(range(-4, 5), repeat=3):
@@ -685,7 +683,7 @@ def _cheap_zeros(q: QuadraticForm) -> Iterator[Vector]:
     by itself, with no appeal to the local-global decision and in particular
     no integer factorization.
     """
-    units = [linalg.vector(r) for r in linalg.identity(q.dim)]
+    units = list(linalg.identity(q.dim))
     for i, e in enumerate(units):
         if q.gram[i][i] == 0:
             yield e
@@ -722,7 +720,7 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
             cand = linalg.zero_vector(q.dim)
             for c, v in zip(coeffs, head):
                 if c:
-                    cand = linalg.vec_add(cand, linalg.vec_scale(Fraction(c), v))
+                    cand = linalg.vec_add(cand, linalg.vec_scale(c, v))
             if q.evaluate(cand) != 0:
                 continue
             w = linalg.clear_denominators(cand)
@@ -736,19 +734,20 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
         # witness -- no factorization needed either way
         d0, d1 = q.diagonal()
         try:
-            t = sqrt_rational(-d0 / d1)
+            t = sqrt_rational(linalg.div(-d0, d1))
         except ValueError:
             return
-        v = linalg.mat_vec(q.diagonal_basis(), (Fraction(1), t))
+        v = linalg.mat_vec(q.diagonal_basis(), (1, linalg.scalar(t)))
         base = linalg.clear_denominators(v)
     elif not _isotropy_decision(q):
         return
     else:
         x = next(_diag_witness_stream(q.squarefree_diagonal(), search_ceiling()))
-        v = linalg.mat_vec(q.squarefree_basis(), [Fraction(c) for c in x])
+        v = linalg.mat_vec(q.squarefree_basis(), x)
         base = linalg.clear_denominators(v)
     if base not in seen:
-        assert q.evaluate(base) == 0
+        if q.evaluate(base) != 0:
+            raise CertificateError("isotropic witness does not vanish")
         seen.add(base)
         yield base
     base_vec = linalg.vector(base)
@@ -766,7 +765,8 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
         w = linalg.clear_denominators(candidate)
         if w not in seen:
             seen.add(w)
-            assert q.evaluate(w) == 0
+            if q.evaluate(w) != 0:
+                raise CertificateError("secant witness does not vanish")
             yield w
 
 
@@ -839,7 +839,7 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     certified by the local-global isotropy decision.
     """
     n = q.dim
-    current: list[Vector] = [linalg.vector(row) for row in linalg.identity(n)]
+    current: list[Vector] = list(linalg.identity(n))
     pairs: list[tuple[Vector, Vector]] = []
     while current:
         sub = q.restrict(current)
@@ -850,11 +850,12 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
         u = linalg.zero_vector(n)
         for c, vec in zip(res.witness, current):
             if c:
-                u = linalg.vec_add(u, linalg.vec_scale(Fraction(c), vec))
+                u = linalg.vec_add(u, linalg.vec_scale(c, vec))
         partner = next(v for v in current if q.bilinear(u, v) != 0)
-        v = linalg.vec_scale(1 / q.bilinear(u, partner), partner)
-        v = linalg.vec_sub(v, linalg.vec_scale(q.evaluate(v) / 2, u))
-        assert q.evaluate(u) == 0 and q.evaluate(v) == 0 and q.bilinear(u, v) == 1
+        v = linalg.vec_scale(linalg.div(1, q.bilinear(u, partner)), partner)
+        v = linalg.vec_sub(v, linalg.vec_scale(linalg.div(q.evaluate(v), 2), u))
+        if q.evaluate(u) != 0 or q.evaluate(v) != 0 or q.bilinear(u, v) != 1:
+            raise CertificateError("split-off plane is not hyperbolic")
         pairs.append((u, v))
         # orthogonal complement of the plane inside the current subspace,
         # kept as a saturated size-reduced integer lattice basis
@@ -871,8 +872,8 @@ def witt_from_lagrangian(q: QuadraticForm, lagrangian: Sequence[Vector]) -> Witt
 
     Dual vectors are obtained by solving b(l_i, m_j) = delta_ij linearly and
     then corrected -- inside the Lagrangian, which costs nothing -- first to
-    be isotropic and then to be orthogonal to the other pairs. All exactness
-    conditions are asserted.
+    be isotropic and then to be orthogonal to the other pairs. Every exactness
+    condition is checked; a failure raises CertificateError.
     """
     n = q.dim
     half = [linalg.vector(v) for v in lagrangian]
@@ -885,19 +886,21 @@ def witt_from_lagrangian(q: QuadraticForm, lagrangian: Sequence[Vector]) -> Witt
     rows = linalg.matrix([linalg.mat_vec(q.gram, l) for l in half])
     duals: list[Vector] = []
     for j in range(len(half)):
-        target = [Fraction(1) if i == j else Fraction(0) for i in range(len(half))]
+        target = [1 if i == j else 0 for i in range(len(half))]
         m = linalg.solve(rows, target)
-        assert m is not None, "non-degenerate form must have dual vectors"
-        m = linalg.vec_sub(m, linalg.vec_scale(q.evaluate(m) / 2, half[j]))
+        if m is None:
+            raise CertificateError("non-degenerate form must have dual vectors")
+        m = linalg.vec_sub(m, linalg.vec_scale(linalg.div(q.evaluate(m), 2), half[j]))
         for i, prev in enumerate(duals):
             m = linalg.vec_sub(m, linalg.vec_scale(q.bilinear(m, prev), half[i]))
         duals.append(m)
     pairs = []
     for i, (u, v) in enumerate(zip(half, duals)):
-        assert q.evaluate(u) == 0 and q.evaluate(v) == 0 and q.bilinear(u, v) == 1
+        if q.evaluate(u) != 0 or q.evaluate(v) != 0 or q.bilinear(u, v) != 1:
+            raise CertificateError(f"pair {i} is not a hyperbolic plane")
         for k in range(i):
-            assert q.bilinear(u, duals[k]) == 0 and q.bilinear(v, duals[k]) == 0
-            assert q.bilinear(v, half[k]) == 0
+            if q.bilinear(u, duals[k]) or q.bilinear(v, duals[k]) or q.bilinear(v, half[k]):
+                raise CertificateError(f"pairs {k} and {i} are not orthogonal")
         pairs.append((u, v))
     return WittDecomposition(len(pairs), tuple(pairs), tuple())
 

@@ -133,7 +133,7 @@ def inverse(x: QuaternionElement) -> QuaternionElement:
     n = nrd(x)
     if n == 0:
         raise ZeroDivisionError("element has reduced norm 0")
-    return (1 / n) * canonical_involution(x)
+    return linalg.div(1, n) * canonical_involution(x)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,8 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
         raise ValueError("algebra is not split")
     witness = next(isotropic_witnesses(norm_form(q)))
     x = q.element(witness)
-    assert nrd(x) == 0 and any(x.coords)
+    if nrd(x) != 0 or not any(x.coords):
+        raise ValueError("norm-form witness is not a nonzero zero divisor")
     # left ideal Q.x and a canonical 2-dimensional basis of it
     span_rows = [(g * x).coords for g in q.basis()]
     ideal_basis = linalg.row_space_basis(linalg.matrix(span_rows))

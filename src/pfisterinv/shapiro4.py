@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 from . import csa, linalg, qform
 from .arith import rat, rat_str, sqrt_rational
 from .csa import InvolutionAlgebra
-from .linalg import Vector
-from .qform import QuadraticForm
+from .linalg import Scalar, Vector
+from .qform import CertificateError, QuadraticForm
 from .quat import QuaternionAlgebra
 
 VERSION = "0.1.0"
@@ -36,10 +36,6 @@ LAMBDA_POOL = (1, -1, 2, -2)
 
 class ScenarioError(ValueError):
     pass
-
-
-class CertificateError(RuntimeError):
-    """An exact check on a constructed certificate failed."""
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,16 @@ def build_D(q1: QuaternionAlgebra, q2: QuaternionAlgebra) -> InvolutionAlgebra:
     )
 
 
-def _embed_q1(x: Sequence[Fraction]) -> Vector:
+def _embed_q1(x: Sequence[Scalar]) -> Vector:
     """Coordinates of x (x) 1 in the tensor basis of D."""
-    out = [Fraction(0)] * 16
+    out = [0] * 16
     for t, c in enumerate(x):
-        out[t * 4] = Fraction(c)
+        out[t * 4] = linalg.scalar(c)
     return tuple(out)
 
 
-def _embed_tensor(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(Fraction(a) * Fraction(b) for a in x for b in y)
+def _embed_tensor(x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
+    return tuple(a * b for a in linalg.vector(x) for b in linalg.vector(y))
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ class UElement:
             raise ScenarioError("u must be invertible")
 
 
-def q_u_form(d: InvolutionAlgebra, u: Sequence[Fraction]) -> QuadraticForm:
+def q_u_form(d: InvolutionAlgebra, u: Sequence[Scalar]) -> QuadraticForm:
     """The trace form q_u(x) = Trd(x u gamma(x)) on the 16 basis coordinates.
 
     M[s][t] = Trd(e_s u gamma(e_t)) is the algebra's trace form applied to
@@ -124,7 +120,7 @@ def q_u_form(d: InvolutionAlgebra, u: Sequence[Fraction]) -> QuadraticForm:
     right = [alg.mul(u, g.apply(alg.basis_vector(t))) for t in range(alg.dim)]
     m = [[linalg.vec_dot(row, r) for r in right] for row in alg.trace_form()]
     return QuadraticForm(
-        [[(m[s][t] + m[t][s]) / 2 for t in range(alg.dim)] for s in range(alg.dim)]
+        [[linalg.div(m[s][t] + m[t][s], 2) for t in range(alg.dim)] for s in range(alg.dim)]
     )
 
 
@@ -163,21 +159,21 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     if s.lam == 0:
         raise ScenarioError("lambda must be nonzero")
     cgc = alg.mul(s.c, g.apply(s.c))
-    nrd_cgc = alg.nrd(cgc)
-    u0 = tuple(s.lam * nrd_cgc * x for x in alg.inverse(cgc))
+    # Nrd(c gamma(c)) (c gamma(c))^{-1} is the adjugate: D has degree 4
+    u0 = tuple(s.lam * x for x in alg.adjugate(cgc))
     if any(x.denominator != 1 for x in u0):
         raise ScenarioError("Nrd(c gamma(c)) (c gamma(c))^{-1} is not integral")
     content = 0
     for x in u0:
-        content = math.gcd(content, int(x))
-    u0 = tuple(x / content for x in u0)
+        content = math.gcd(content, x.numerator)
+    u0 = tuple(x.numerator // content for x in u0)
     if g.apply(u0) != u0:
         raise ScenarioError("u0 is not symmetric under the involution")
     if alg.trd(u0) == 0:
         return UElement(d, u0), alg.unit
     # scalar mu with u0 = mu (c gamma(c))^{-1}: q_{u0}(x gamma(c)) = mu Trd(x gamma(x))
     mu = alg.mul(u0, cgc)[0]
-    q_small = q_u_form(d, tuple(mu if t == 0 else Fraction(0) for t in range(alg.dim)))
+    q_small = q_u_form(d, tuple(mu if t == 0 else 0 for t in range(alg.dim)))
     gc = g.apply(s.c)
     rows = [alg.mul(alg.basis_vector(t), gc) for t in range(alg.dim)]
     q0 = q_u_form(d, u0)
@@ -194,8 +190,7 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     if q0.evaluate(y) != 0:
         raise ScenarioError("normalizing element is not isotropic for q_{u0}")
     u = alg.mul(alg.mul(y, u0), g.apply(y))
-    u = tuple(Fraction(x) for x in linalg.clear_denominators(u))
-    return UElement(d, u), y
+    return UElement(d, linalg.clear_denominators(u)), y
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +222,18 @@ def w_subspace(
     d: InvolutionAlgebra,
     u: UElement,
     y: Vector,
-    q_pure: Sequence[Fraction],
-    c_inv: Vector,
-    gy_inv: Vector,
+    q_pure: Sequence[Scalar],
+    c_adj: Vector,
+    gy_adj: Vector,
 ) -> list[Vector]:
     """The 3-dimensional subspace W_q attached to a pure quaternion q of Q2.
 
     W_q is the conjugate by c of {x (x) q : x pure in Q1}, transported through
     the normalization by conjugation with gamma(y). Each basis element w is
-    checked to satisfy gamma(w) u = u w and w^2 scalar. ``c_inv`` and
-    ``gy_inv`` are the inverses of c and gamma(y), shared by every q.
+    checked to satisfy gamma(w) u = u w and w^2 scalar. ``c_adj`` and
+    ``gy_adj`` are the adjugates of c and gamma(y), shared by every q: they
+    stand in for the inverses, so each w is Nrd(c) Nrd(gamma(y)) times the
+    conjugate, which spans the same line and passes the same checks.
     """
     alg, g = d.algebra, d.sigma
     q_pure = linalg.vector(q_pure)
@@ -245,10 +242,10 @@ def w_subspace(
     gy = g.apply(y)
     basis = []
     for t in range(1, 4):
-        x = [Fraction(0)] * 4
-        x[t] = Fraction(1)
-        w0 = alg.mul(alg.mul(s.c, _embed_tensor(x, q_pure)), c_inv)
-        w = alg.mul(alg.mul(gy_inv, w0), gy)
+        x = [0] * 4
+        x[t] = 1
+        w0 = alg.mul(alg.mul(s.c, _embed_tensor(x, q_pure)), c_adj)
+        w = alg.mul(alg.mul(gy_adj, w0), gy)
         lhs = alg.mul(g.apply(w), u.coords)
         rhs = alg.mul(u.coords, w)
         if lhs != rhs:
@@ -322,12 +319,12 @@ def check_claim_3_and_assemble(
     """
     failures: list[str] = []
     alg = d.algebra
-    c_inv = alg.inverse(s.c)
-    gy_inv = alg.inverse(d.sigma.apply(y))
+    c_adj = alg.adjugate(s.c)
+    gy_adj = alg.adjugate(d.sigma.apply(y))
     q1_basis = [_embed_q1([1 if t == a else 0 for t in range(4)]) for a in range(4)]
     span = list(q1_basis)
     for pure in ([0, 1, 0, 0], [0, 0, 1, 0]):
-        w_basis = w_subspace(s, d, u, y, pure, c_inv, gy_inv)
+        w_basis = w_subspace(s, d, u, y, pure, c_adj, gy_adj)
         failures += check_claim_2(d, u, w_basis, qu)
         v_basis = build_V_q(d, u, w_basis)
         span = linalg.row_space_basis(span + v_basis)
@@ -357,11 +354,8 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
     n = q.dim
     if n % 2:
         raise CertificateError("odd-dimensional form has no Lagrangian")
-    span = [
-        linalg.vector(linalg.clear_denominators(v))
-        for v in linalg.row_space_basis(basis)
-    ]
-    identity_lattice = [linalg.vector(row) for row in linalg.identity(n)]
+    span = [linalg.clear_denominators(v) for v in linalg.row_space_basis(basis)]
+    identity_lattice = list(linalg.identity(n))
     while len(span) < n // 2:
         # the induced form on (span-orthogonal)/span: its values do not
         # depend on the span component, so any orthogonal vectors that are
@@ -388,8 +382,8 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
         lifted = linalg.zero_vector(n)
         for c, vec in zip(res.witness, quot):
             if c:
-                lifted = linalg.vec_add(lifted, linalg.vec_scale(Fraction(c), vec))
-        span.append(linalg.vector(linalg.clear_denominators(lifted)))
+                lifted = linalg.vec_add(lifted, linalg.vec_scale(c, vec))
+        span.append(linalg.clear_denominators(lifted))
     return span
 
 

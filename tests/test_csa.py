@@ -78,8 +78,9 @@ class TestTensor:
             assert d.sigma.apply(uv) == tuple(a * b for a in gu for b in gv)
 
     def test_tensor_products_pass_the_exhaustive_check(self):
-        # tensor products are not validated at construction; associativity
-        # and the unit law hold by construction, and the check confirms it
+        # tensor products and their involutions are not validated at
+        # construction; associativity, the unit law and the anti-automorphism
+        # law hold by construction, and the checks confirm it
         products = [
             tensor(canonical(-1, -1), canonical(2, 3)),  # non-split canonical pair
             tensor(canonical(1, 5), canonical(4, -3)),  # split pair
@@ -90,11 +91,18 @@ class TestTensor:
         ]
         for d in products:
             d.algebra._validate()
+            d.sigma._validate()
+            csa.Involution(d.algebra, d.sigma.matrix, d.sigma.type_tag)
         alg = products[0].algebra
         broken = [list(row) for row in alg.table]
         broken[1][2] = {0: Fraction(1)}
         with pytest.raises(AlgebraError):
             csa.StructureAlgebra(alg.labels, broken, alg.unit)
+        # gamma (x) identity squares to the identity but reverses no products
+        x = canonical(-1, -1)
+        not_anti = linalg.kron(x.sigma.matrix, linalg.identity(4))
+        with pytest.raises(AlgebraError, match="anti-automorphism"):
+            csa.Involution(alg, not_anti, "orthogonal")
 
 
 class TestAdjoint:
