@@ -203,6 +203,27 @@ def sqrt_mod_prime(n: int, p: int) -> int:
     return r
 
 
+def _power_root(n: int) -> int:
+    """The least b with n = b^e for some e >= 1, for n > 1, with no floats.
+
+    Takes exact prime-order roots while one exists (integer Newton from
+    above); the primitive root of a perfect power is unique, so the order
+    does not matter.
+    """
+    k = 2
+    while k < n.bit_length():
+        r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits / k) > n^(1/k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n:
+            n = r
+            continue
+        k += 1
+        while not is_prime(k):
+            k += 1
+    return n
+
+
 def _coprime_basis(values: Iterable[int]) -> list[int]:
     """Pairwise coprime integers > 1 multiplicatively generating the inputs.
 
@@ -210,8 +231,6 @@ def _coprime_basis(values: Iterable[int]) -> list[int]:
     the root of its maximal perfect-power representation, since only the root
     can matter modulo squares and roots are far cheaper to factor.
     """
-    from sympy.ntheory import perfect_power
-
     base: list[int] = []
 
     def add(n: int) -> None:
@@ -225,11 +244,7 @@ def _coprime_basis(values: Iterable[int]) -> list[int]:
                     n //= g
                     break
             else:
-                pp = perfect_power(n)
-                if pp:
-                    n = int(pp[0])
-                    continue
-                base.append(n)
+                base.append(_power_root(n))
                 return
 
     for v in values:

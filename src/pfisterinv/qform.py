@@ -11,6 +11,7 @@ capped by a configurable candidate ceiling.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -210,22 +211,19 @@ def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
     denominator, so the strict decrease terminates. Keeping the |q(b)| small
     is what keeps diagonal entries factorable. The basis vectors must be
     integral; the reduced ones are returned as int tuples.
+
+    The Gram matrix M = B G B^T of the working basis is computed once and
+    kept current: a translate b_j -= t b_i changes only row and column j,
+    by t times row i, and its new diagonal entry is the value the step
+    already computed.
     """
     g_int, _ = linalg.integer_rows(gram)
     if any(x.denominator != 1 for v in basis for x in v):
         raise ValueError("form reduction needs integral basis vectors")
     work = [[x.numerator for x in v] for v in basis]
     m = len(work)
-    n = len(g_int)
-
-    def bil(u, v):
-        total = 0
-        for a, row in zip(u, g_int):
-            if a:
-                total += a * sum(r * b for r, b in zip(row, v))
-        return total
-
-    vals = [bil(v, v) for v in work]
+    gw = [linalg.mat_vec(g_int, v) for v in work]
+    gm = [[linalg.vec_dot(u, gv) for gv in gw] for u in work]
     improved = True
     while improved:
         improved = False
@@ -233,25 +231,32 @@ def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
             for j in range(m):
                 if i == j:
                     continue
-                bij = bil(work[i], work[j])
-                if vals[i] != 0:
-                    t0 = round(Fraction(bij, vals[i]))
+                bij = gm[i][j]
+                vi, vj = gm[i][i], gm[j][j]
+                if vi != 0:
+                    t0 = round(Fraction(bij, vi))
                 elif bij != 0:
-                    t0 = round(Fraction(vals[j], 2 * bij))
+                    t0 = round(Fraction(vj, 2 * bij))
                 else:
                     continue
                 best = None
                 for t in (t0 - 1, t0, t0 + 1):
                     if t == 0:
                         continue
-                    cand = [x - t * y for x, y in zip(work[j], work[i])]
-                    vv = vals[j] - 2 * t * bij + t * t * vals[i]
-                    if abs(vv) < abs(vals[j]) and (best is None or abs(vv) < abs(best[1])):
-                        best = (cand, vv)
+                    vv = vj - 2 * t * bij + t * t * vi
+                    if abs(vv) < abs(vj) and (best is None or abs(vv) < abs(best[1])):
+                        best = (t, vv)
                 if best is not None:
-                    work[j], vals[j] = best
+                    t, vv = best
+                    work[j] = [x - t * y for x, y in zip(work[j], work[i])]
+                    row_i, row_j = gm[i], gm[j]
+                    for k in range(m):
+                        if k != j:
+                            row_j[k] -= t * row_i[k]
+                            gm[k][j] = row_j[k]
+                    row_j[j] = vv
                     improved = True
-    order = sorted(range(m), key=lambda t: (abs(vals[t]), work[t]))
+    order = sorted(range(m), key=lambda t: (abs(gm[t][t]), work[t]))
     return [tuple(work[t]) for t in order]
 
 
@@ -350,7 +355,13 @@ class FormInvariants:
 
 
 def diagonal_invariants(diag: Sequence[int]) -> FormInvariants:
-    """Invariants of the form with the given squarefree integer diagonal."""
+    """Invariants of the form with the given squarefree integer diagonal.
+
+    The Hasse class sums (d_i, d_j) over i < j. Symbol classes have order 2,
+    so only the parity of each symbol's count matters: over the distinct
+    values, (a, b) with a != b occurs m_a m_b times and (a, a) occurs
+    m_a (m_a - 1) / 2 times.
+    """
     n = len(diag)
     det = 1
     for d in diag:
@@ -358,10 +369,15 @@ def diagonal_invariants(diag: Sequence[int]) -> FormInvariants:
     det_class = square_class(det)
     sign_factor = -1 if (n * (n - 1) // 2) % 2 else 1
     disc = square_class(sign_factor * det)
+    counts = collections.Counter(diag)
+    values = list(counts)
     hasse = BrauerClass.trivial()
-    for i in range(n):
-        for j in range(i + 1, n):
-            hasse = hasse + brauer_class_of_symbol(diag[i], diag[j])
+    for i, a in enumerate(values):
+        if counts[a] * (counts[a] - 1) // 2 % 2:
+            hasse = hasse + brauer_class_of_symbol(a, a)
+        for b in values[i + 1:]:
+            if counts[a] * counts[b] % 2:
+                hasse = hasse + brauer_class_of_symbol(a, b)
     clifford = hasse + _clifford_correction(n, det_class)
     signature = sum(1 if d > 0 else -1 for d in diag)
     return FormInvariants(n, det_class, disc, hasse, clifford, signature)

@@ -124,12 +124,31 @@ def q_u_form(d: InvolutionAlgebra, u: Sequence[Scalar]) -> QuadraticForm:
     )
 
 
-class AnisotropicU(RuntimeError):
-    """Raised when q_{u0} is anisotropic, routing the caller to the definite branch."""
+def scalar_trace_form(d: InvolutionAlgebra, mu: Scalar) -> QuadraticForm:
+    """q_mu(x) = mu Trd(x gamma(x)), the trace form of the scalar mu.
 
-    def __init__(self, u0: Vector):
+    The tensor basis of D is orthogonal for the trace form of a tensor
+    product of involutions (KMRT, *The Book of Involutions*, 11), so the
+    form is the diagonal <mu Trd(e_t gamma(e_t))>, with the Gram matrix of
+    ``q_u_form`` at u = mu 1.
+    """
+    alg, g = d.algebra, d.sigma
+    return QuadraticForm.from_diagonal(
+        [mu * alg.trd(alg.mul(e, g.apply(e))) for e in map(alg.basis_vector, range(alg.dim))]
+    )
+
+
+class AnisotropicU(RuntimeError):
+    """Raised when q_{u0} is anisotropic, routing the caller to the definite branch.
+
+    Carries u0 and the diagonal form q_small that ``make_u`` certified to be
+    isometric to q_{u0}.
+    """
+
+    def __init__(self, u0: Vector, q_small: QuadraticForm):
         super().__init__("trace form of the unnormalized element is anisotropic")
         self.u0 = u0
+        self.q_small = q_small
 
 
 def make_u(s: Scenario) -> tuple[UElement, Vector]:
@@ -145,12 +164,13 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     rescaled by Nrd(c gamma(c)) -- a square -- to have integer entries, and
     the normalized u is reduced to a primitive integer vector.
 
-    The normalizing witness is searched on the form x -> lambda Trd(x
-    gamma(x)), which right multiplication by gamma(c) carries exactly onto
-    q_{u0} (the congruence is checked exactly). That form has tiny entries, so the
-    witness z -- and with it y = z gamma(c) and u = y u0 gamma(y), a scalar
-    times z gamma(z) -- stays small. Keeping u small is what keeps the
-    diagonal of its trace form factorable later.
+    The identity u0 c gamma(c) = mu, checked on all coordinates, gives
+    gamma(c) u0 c = mu, so right multiplication by gamma(c) carries
+    q_{u0} exactly onto q_small(x) = mu Trd(x gamma(x)), a diagonal form
+    with tiny entries (``scalar_trace_form``). The normalizing witness z is
+    searched on q_small, so z -- and with it y = z gamma(c) and
+    u = y u0 gamma(y), a scalar times z gamma(z) -- stays small. Keeping u
+    small is what keeps the diagonal of its trace form factorable later.
     """
     d = build_D(s.q1, s.q2)
     alg, g = d.algebra, d.sigma
@@ -171,25 +191,21 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
         raise ScenarioError("u0 is not symmetric under the involution")
     if alg.trd(u0) == 0:
         return UElement(d, u0), alg.unit
-    # scalar mu with u0 = mu (c gamma(c))^{-1}: q_{u0}(x gamma(c)) = mu Trd(x gamma(x))
-    mu = alg.mul(u0, cgc)[0]
-    q_small = q_u_form(d, tuple(mu if t == 0 else 0 for t in range(alg.dim)))
-    gc = g.apply(s.c)
-    rows = [alg.mul(alg.basis_vector(t), gc) for t in range(alg.dim)]
-    q0 = q_u_form(d, u0)
-    if q0.pairing(rows, rows) != q_small.gram:
-        raise ScenarioError("right multiplication by gamma(c) is not a congruence")
+    prod = alg.mul(u0, cgc)
+    mu = prod[0]
+    if prod != alg.scalar(mu):
+        raise ScenarioError("u0 c gamma(c) is not a scalar")
+    q_small = scalar_trace_form(d, mu)
     # a nonempty stream is endless: it ends only when q_small is anisotropic
     for w in qform.isotropic_witnesses(q_small):
         z = linalg.vector(w)
         if alg.is_invertible(z):
             break
     else:
-        raise AnisotropicU(u0)
-    y = alg.mul(z, gc)
-    if q0.evaluate(y) != 0:
-        raise ScenarioError("normalizing element is not isotropic for q_{u0}")
+        raise AnisotropicU(u0, q_small)
+    y = alg.mul(z, g.apply(s.c))
     u = alg.mul(alg.mul(y, u0), g.apply(y))
+    # UElement checks Trd(u) = q_{u0}(y) = 0: y is isotropic for q_{u0}
     return UElement(d, linalg.clear_denominators(u)), y
 
 
@@ -350,21 +366,25 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
     everything collected so far. The result is totally isotropic by
     construction; ``check_lagrangian`` certifies it. Raises CertificateError
     when a step shows that q is not hyperbolic.
+
+    The saturated orthogonal lattice is carried from step to step: each new
+    vector imposes only its own constraint on the previous one, which is the
+    lattice that imposing all constraints on Z^n one at a time would give.
     """
     n = q.dim
     if n % 2:
         raise CertificateError("odd-dimensional form has no Lagrangian")
     span = [linalg.clear_denominators(v) for v in linalg.row_space_basis(basis)]
-    identity_lattice = list(linalg.identity(n))
+    perp = list(linalg.identity(n))
+    new = list(span)  # the vectors whose constraints perp does not carry yet
     while len(span) < n // 2:
         # the induced form on (span-orthogonal)/span: its values do not
         # depend on the span component, so any orthogonal vectors that are
         # independent modulo span carry it -- and the orthogonal lattice has
         # small reduced vectors, unlike a lattice that is also forced to be
         # Euclidean-orthogonal to the span
-        constraints = [linalg.mat_vec(q.gram, v) for v in span]
         perp = linalg.saturated_constrained_lattice(
-            constraints, lattice=identity_lattice
+            [linalg.mat_vec(q.gram, v) for v in new], lattice=perp
         )
         target = n - 2 * len(span)
         quot: list[Vector] = []
@@ -383,7 +403,8 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
         for c, vec in zip(res.witness, quot):
             if c:
                 lifted = linalg.vec_add(lifted, linalg.vec_scale(c, vec))
-        span.append(linalg.clear_denominators(lifted))
+        new = [linalg.clear_denominators(lifted)]
+        span.append(new[0])
     return span
 
 
@@ -471,7 +492,7 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     try:
         u, y = make_u(s)
     except AnisotropicU as exc:
-        return _definite_branch(s, d, exc.u0)
+        return _definite_branch(s, d, exc.u0, exc.q_small)
     qu = q_u_form(d, u.coords)
     failures += check_claim_1(d, u.coords, qu)
     subspace, claim_failures = check_claim_3_and_assemble(s, d, u, y, qu)
@@ -516,9 +537,11 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     )
 
 
-def _definite_branch(s: Scenario, d: InvolutionAlgebra, u0: Vector) -> ScenarioReport:
+def _definite_branch(
+    s: Scenario, d: InvolutionAlgebra, u0: Vector, qu: QuadraticForm
+) -> ScenarioReport:
+    """Invariants, I^3 and GP_4 membership of q_{u0}, read off the isometric ``qu``."""
     failures: list[str] = []
-    qu = q_u_form(d, u0)
     inv = qu.invariants()
     in_i3 = qform.in_I_n(qu, 3)
     if not in_i3:

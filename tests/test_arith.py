@@ -22,6 +22,7 @@ from pfisterinv.arith import (
     square_class,
     square_classes,
 )
+from pfisterinv.arith import _coprime_basis, _power_root
 
 nonzero_small = st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0)
 
@@ -85,6 +86,33 @@ class TestSquareClass:
     @given(st.lists(nonzero_small, min_size=1, max_size=6))
     def test_batch_agrees_with_single(self, values):
         assert square_classes(values) == [square_class(v) for v in values]
+
+
+class TestPowerRoot:
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 10**6), st.integers(1, 12)), min_size=1, max_size=3
+        ),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy_perfect_power(self, factors, outer):
+        from sympy.ntheory import perfect_power
+
+        n = 1
+        for base, exp in factors:
+            n *= base**exp
+        n = n**outer
+        pp = perfect_power(n)
+        assert _power_root(n) == (int(pp[0]) if pp else n)
+
+    def test_small_cases(self):
+        assert [_power_root(n) for n in (2, 4, 8, 12, 36, 64, 3**10 * 5**10)] == [
+            2, 2, 2, 12, 6, 2, 15,
+        ]
+
+    def test_coprime_basis_keeps_roots(self):
+        assert sorted(_coprime_basis([2**6 * 3**4, 3**2 * 7**9])) == [2, 3, 7]
 
 
 class TestSqrtHelpers:

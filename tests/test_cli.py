@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, JSON output, file-based inputs."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from pfisterinv import qform
 from pfisterinv.cli import main
 
 
@@ -57,6 +59,25 @@ class TestQf:
     def test_malformed_rejected(self, capsys):
         code, _ = run(capsys, "qf", "invariants", "--diag", "1,zebra")
         assert code == 2
+
+    def test_search_ceiling_exits_2(self):
+        # <7, -1, 7, 11> is isotropic, but it has no zero on a basis vector
+        # or in its form reduction, and no isotropic ternary subform, so its
+        # first witness comes from the bounded search
+        q = qform.QuadraticForm.from_diagonal([7, -1, 7, 11])
+        assert list(qform._cheap_zeros(q)) == []
+        assert qform._isotropy_decision(q)
+        assert qform._isotropic_subset(q.squarefree_diagonal()) is None
+        argv = [sys.executable, "-m", "pfisterinv.cli", "qf", "witt", "--diag=7,-1,7,11"]
+        env = {k: v for k, v in os.environ.items() if k != "PFISTER_SEARCH_CEILING"}
+        found = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert found.returncode == 0, found.stderr
+        assert json.loads(found.stdout)["witt_index"] == 1
+        env["PFISTER_SEARCH_CEILING"] = "20"
+        capped = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert capped.returncode == 2
+        assert capped.stdout == ""
+        assert capped.stderr == "error: no isotropic vector within 20 candidates\n"
 
 
 class TestQuat:

@@ -1,0 +1,217 @@
+"""The faster kernels against the straightforward versions they replaced.
+
+Each reference below is the earlier implementation, kept here (not in the
+package) as the specification the current code must reproduce exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pfisterinv import linalg, qform, shapiro4
+from pfisterinv.arith import BrauerClass, brauer_class_of_symbol
+from pfisterinv.quat import QuaternionAlgebra
+
+
+def form_reduce_reference(gram, basis):
+    """Greedy form reduction recomputing b(b_i, b_j) from the Gram per pair."""
+    g_int, _ = linalg.integer_rows(gram)
+    work = [[x.numerator for x in v] for v in basis]
+    m = len(work)
+
+    def bil(u, v):
+        total = 0
+        for a, row in zip(u, g_int):
+            if a:
+                total += a * sum(r * b for r, b in zip(row, v))
+        return total
+
+    vals = [bil(v, v) for v in work]
+    improved = True
+    while improved:
+        improved = False
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                bij = bil(work[i], work[j])
+                if vals[i] != 0:
+                    t0 = round(Fraction(bij, vals[i]))
+                elif bij != 0:
+                    t0 = round(Fraction(vals[j], 2 * bij))
+                else:
+                    continue
+                best = None
+                for t in (t0 - 1, t0, t0 + 1):
+                    if t == 0:
+                        continue
+                    cand = [x - t * y for x, y in zip(work[j], work[i])]
+                    vv = vals[j] - 2 * t * bij + t * t * vals[i]
+                    if abs(vv) < abs(vals[j]) and (best is None or abs(vv) < abs(best[1])):
+                        best = (cand, vv)
+                if best is not None:
+                    work[j], vals[j] = best
+                    improved = True
+    order = sorted(range(m), key=lambda t: (abs(vals[t]), work[t]))
+    return [tuple(work[t]) for t in order]
+
+
+def diagonal_hasse_reference(diag):
+    """The Hasse class as the sum of (d_i, d_j) over all pairs i < j."""
+    hasse = BrauerClass.trivial()
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            hasse = hasse + brauer_class_of_symbol(diag[i], diag[j])
+    return hasse
+
+
+@st.composite
+def symmetric_grams(draw):
+    n = draw(st.integers(min_value=2, max_value=16))
+    cells = draw(
+        st.lists(st.integers(-6, 6), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+    )
+    it = iter(cells)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = next(it)
+    # some diagonal entries forced to zero: the isotropic-pivot branch
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        g[i][i] = 0
+    return linalg.matrix(g)
+
+
+class TestFormReduce:
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_grams())
+    def test_matches_reference_on_the_standard_basis(self, gram):
+        basis = linalg.identity(len(gram))
+        assert qform._form_reduce(gram, basis) == form_reduce_reference(gram, basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_grams(), st.data())
+    def test_matches_reference_on_integer_vectors(self, gram, data):
+        n = len(gram)
+        m = data.draw(st.integers(1, n))
+        basis = data.draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(linalg.vector),
+                min_size=m,
+                max_size=m,
+            )
+        )
+        assert qform._form_reduce(gram, basis) == form_reduce_reference(gram, basis)
+
+    def test_rational_gram(self):
+        gram = linalg.matrix([[Fraction(1, 2), 3, 0], [3, Fraction(-5, 3), 1], [0, 1, 0]])
+        basis = linalg.identity(3)
+        assert qform._form_reduce(gram, basis) == form_reduce_reference(gram, basis)
+
+
+def extend_to_lagrangian_reference(q, basis):
+    """Lagrangian growth re-imposing every constraint on Z^n at each step."""
+    n = q.dim
+    span = [linalg.clear_denominators(v) for v in linalg.row_space_basis(basis)]
+    while len(span) < n // 2:
+        constraints = [linalg.mat_vec(q.gram, v) for v in span]
+        perp = linalg.saturated_constrained_lattice(
+            constraints, lattice=list(linalg.identity(n))
+        )
+        target = n - 2 * len(span)
+        quot = []
+        for v in perp:
+            if len(quot) == target:
+                break
+            stacked = list(span) + quot + [v]
+            if len(linalg.row_space_basis(stacked)) == len(stacked):
+                quot.append(v)
+        res = qform.is_isotropic(q.restrict(quot))
+        lifted = linalg.zero_vector(n)
+        for c, vec in zip(res.witness, quot):
+            if c:
+                lifted = linalg.vec_add(lifted, linalg.vec_scale(c, vec))
+        span.append(linalg.clear_denominators(lifted))
+    return span
+
+
+def constraint_lists(n):
+    return st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=3)
+
+
+class TestCarriedLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n), constraint_lists(n), constraint_lists(n), constraint_lists(n)
+    )))
+    def test_constraints_may_be_imposed_in_two_calls(self, case):
+        n, c0, c1, c2 = case
+        # a saturated lattice: Z^n, or the annihilator of c0 inside it
+        lattice = linalg.saturated_constrained_lattice(c0, lattice=list(linalg.identity(n)))
+        once = linalg.saturated_constrained_lattice(c1 + c2, lattice=lattice)
+        first = linalg.saturated_constrained_lattice(c1, lattice=lattice)
+        assert once == linalg.saturated_constrained_lattice(c2, lattice=first)
+
+    @pytest.mark.parametrize("seed", [7, 36, 83])
+    def test_extend_to_lagrangian_matches_reference_on_q_u(self, seed):
+        s = shapiro4.sample_scenario(seed)
+        d = shapiro4.build_D(s.q1, s.q2)
+        u, y = shapiro4.make_u(s)
+        qu = shapiro4.q_u_form(d, u.coords)
+        subspace, failures = shapiro4.check_claim_3_and_assemble(s, d, u, y, qu)
+        assert failures == []
+        assert shapiro4.extend_to_lagrangian(qu, subspace) == (
+            extend_to_lagrangian_reference(qu, subspace)
+        )
+
+    def test_extend_to_lagrangian_matches_reference_from_a_line(self):
+        q = qform.QuadraticForm.from_diagonal([1, -1, 2, -2, 3, -3, 5, -5])
+        line = [linalg.vector([1, 1, 0, 0, 0, 0, 0, 0])]
+        assert shapiro4.extend_to_lagrangian(q, line) == (
+            extend_to_lagrangian_reference(q, line)
+        )
+
+
+class TestGroupedHasse:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 5, -6, 7, -10, 15]), min_size=1, max_size=14))
+    def test_matches_the_pairwise_sum(self, diag):
+        assert qform.diagonal_invariants(diag).hasse == diagonal_hasse_reference(diag)
+
+    def test_split_model_needs_no_symbol(self):
+        inv = qform.diagonal_invariants((1, -1) * 8)
+        assert inv.hasse.is_trivial and inv.clifford.is_trivial
+        assert (inv.dim, inv.disc, inv.signature) == (16, 1, 0)
+
+
+class TestScalarTraceForm:
+    @pytest.mark.parametrize(
+        "symbols",
+        [
+            ((1, 1), (1, 1)),  # split
+            ((-1, -1), (-1, -1)),  # Hamilton (x) Hamilton
+            ((-3, 2), (5, 11)),  # seed 7's symbols
+            ((2, 3), (-1, -7)),
+        ],
+    )
+    @pytest.mark.parametrize("mu", [1, -3, 10])
+    def test_equals_the_trace_form_of_mu(self, symbols, mu):
+        (a1, b1), (a2, b2) = symbols
+        d = shapiro4.build_D(QuaternionAlgebra(a1, b1), QuaternionAlgebra(a2, b2))
+        expected = shapiro4.q_u_form(d, d.algebra.scalar(mu)).gram
+        assert shapiro4.scalar_trace_form(d, mu).gram == expected
+
+    @pytest.mark.parametrize("seed", [7, 8, 36, 58])
+    def test_make_u_congruence(self, seed):
+        # right multiplication by gamma(c) carries q_{u0} onto q_small
+        s = shapiro4.sample_scenario(seed)
+        d = shapiro4.build_D(s.q1, s.q2)
+        alg, g = d.algebra, d.sigma
+        cgc = alg.mul(s.c, g.apply(s.c))
+        u0 = alg.adjugate(cgc)  # Nrd(c gamma(c)) (c gamma(c))^{-1}
+        mu = alg.mul(u0, cgc)[0]
+        rows = [alg.mul(alg.basis_vector(t), g.apply(s.c)) for t in range(16)]
+        congruent = shapiro4.q_u_form(d, u0).pairing(rows, rows)
+        assert congruent == shapiro4.scalar_trace_form(d, mu).gram

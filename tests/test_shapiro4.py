@@ -3,6 +3,7 @@ product of two quaternion algebras is hyperbolic (or definite multiplicative),
 certified by explicit totally isotropic subspaces."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,18 @@ class TestRunScenario:
         assert report.verdict == "pass"
         assert report.gp4 is True
         assert not report.trace_zero
+
+    @pytest.mark.parametrize("seed", [68, 93])
+    def test_definite_seeds_read_invariants_from_q_small(self, seed):
+        # all four symbols negative: q_{u0} is anisotropic; its invariants
+        # come from the diagonal q_small, which has tiny entries, instead of
+        # the factoring of a 16-dim LLL diagonal (minutes for seed 68)
+        start = time.perf_counter()
+        report = run_scenario(sample_scenario(seed))
+        assert time.perf_counter() - start < 5
+        assert report.branch == "definite-pfister"
+        assert report.verdict == "pass"
+        assert report.gp4 is True and report.in_cubic_ideal
 
     def test_reports_deterministic(self):
         a = run_scenario(sample_scenario(13))
