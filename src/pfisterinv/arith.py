@@ -1,7 +1,9 @@
 """Exact arithmetic over Q: square classes, places, Hilbert symbols, 2-torsion Brauer classes.
 
-Rationals are plain ``fractions.Fraction`` values; everything here is a pure
-function on immutable data, so concurrent use is safe.
+Every rational follows one scalar rule: an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise, never a ``float``. ``rat`` is the one
+coercion to that rule (``linalg.scalar`` is the same function). Everything
+here is a pure function on immutable data, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-RationalLike = Union[int, str, Fraction]
+Scalar = Union[int, Fraction]
 
-DEFAULT_TRIAL_BOUND = 10**6
+_TRIAL_LIMIT = 1 << 10
 
 
 class ZeroInputError(ValueError):
@@ -25,23 +27,25 @@ class FactorizationError(RuntimeError):
     """An integer could not be factored within the configured bounds."""
 
 
-def rat(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to a Fraction."""
-    if isinstance(value, Fraction):
+def rat(value: Union[Scalar, str]) -> Scalar:
+    """An int, Fraction or "num/den" string as an int if integral, else a Fraction.
+
+    A float, or any other type, raises TypeError: it is not exact.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+        value = Fraction(value)
+    elif isinstance(value, int):
+        return int(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"cannot interpret {value!r} as a rational")
+    return value.numerator if value.denominator == 1 else value
 
 
-def rat_str(x: Fraction) -> str:
+def rat_str(x: Union[Scalar, str]) -> str:
     """Serialize a rational as "num/den", omitting a denominator of 1."""
-    x = rat(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(rat(x))
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +111,12 @@ def _brent_rho(n: int) -> int:
 
 
 @lru_cache(maxsize=65536)
-def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Factor |n| into primes.
 
-    Trial division up to ``trial_bound`` handles the desk-scale inputs this
-    library targets; a deterministic Brent-rho fallback covers the occasional
-    large cofactor produced by diagonalizing big Gram matrices.
+    Trial division takes the primes below ``_TRIAL_LIMIT``; Miller-Rabin and
+    a deterministic Brent rho split the cofactor, and sympy's ``factorint``
+    the composites above 10^18. The primes come in ascending order.
     """
     if n == 0:
         raise ZeroInputError("cannot factor 0")
@@ -125,7 +129,7 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
     # wheel over 6k+-1
     d = 7
     step = 4
-    while d * d <= n and d <= trial_bound:
+    while d * d <= n and d < _TRIAL_LIMIT:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
@@ -152,10 +156,10 @@ def factorize(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
             g = _brent_rho(m)
             stack.append(g)
             stack.append(m // g)
-    return factors
+    return dict(sorted(factors.items()))  # one prime order whatever the route
 
 
-def square_class(x: RationalLike) -> int:
+def square_class(x: Scalar) -> int:
     """Reduce a nonzero rational modulo squares to its squarefree integer representative.
 
     ``x`` and ``square_class(x)`` differ by the square of a rational, and the
@@ -252,7 +256,7 @@ def _coprime_basis(values: Iterable[int]) -> list[int]:
     return base
 
 
-def square_classes(values: Iterable[RationalLike]) -> list[int]:
+def square_classes(values: Iterable[Scalar]) -> list[int]:
     """Square classes of many rationals at once.
 
     A pairwise coprime basis of all numerators and denominators is extracted
@@ -285,7 +289,7 @@ def square_classes(values: Iterable[RationalLike]) -> list[int]:
     return out
 
 
-def sqrt_rational(x: Fraction) -> Fraction:
+def sqrt_rational(x: Scalar) -> Scalar:
     """Exact square root of a rational square; raises if x is not a square."""
     x = rat(x)
     if x < 0:
@@ -294,7 +298,7 @@ def sqrt_rational(x: Fraction) -> Fraction:
     rd = math.isqrt(x.denominator)
     if rn * rn != x.numerator or rd * rd != x.denominator:
         raise ValueError(f"{x} is not a rational square")
-    return Fraction(rn, rd)
+    return rn if rd == 1 else Fraction(rn, rd)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,7 @@ class Place:
 # ---------------------------------------------------------------------------
 
 
-def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
+def _val_unit(x: Scalar, p: int) -> tuple[int, Scalar]:
     """Write x = p^v * u with u a p-adic unit; returns (v, u)."""
     v = 0
     num, den = x.numerator, x.denominator
@@ -352,19 +356,19 @@ def _val_unit(x: Fraction, p: int) -> tuple[int, Fraction]:
     while den % p == 0:
         den //= p
         v -= 1
-    return v, Fraction(num, den)
+    return v, num if den == 1 else Fraction(num, den)
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
+def _unit_mod(u: Scalar, m: int) -> int:
     return u.numerator % m * pow(u.denominator % m, -1, m) % m
 
 
-def _legendre_unit(u: Fraction, p: int) -> int:
+def _legendre_unit(u: Scalar, p: int) -> int:
     t = pow(_unit_mod(u, p), (p - 1) // 2, p)
     return 1 if t == 1 else -1
 
 
-def hilbert_symbol(a: RationalLike, b: RationalLike, place: Place) -> int:
+def hilbert_symbol(a: Scalar, b: Scalar, place: Place) -> int:
     """Hilbert symbol (a, b) at a place of Q.
 
     Returns +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
@@ -397,7 +401,7 @@ def hilbert_symbol(a: RationalLike, b: RationalLike, place: Place) -> int:
     return sign
 
 
-def relevant_places(*values: RationalLike) -> list[Place]:
+def relevant_places(*values: Scalar) -> list[Place]:
     """Real place, 2, and the odd primes dividing any numerator or denominator."""
     primes = {2}
     for x in values:
@@ -449,7 +453,7 @@ class BrauerClass:
         return BrauerClass(frozenset(Place.from_label(s) for s in labels))
 
 
-def brauer_class_of_symbol(a: RationalLike, b: RationalLike) -> BrauerClass:
+def brauer_class_of_symbol(a: Scalar, b: Scalar) -> BrauerClass:
     """Brauer class of the quaternion symbol (a, b) over Q."""
     a, b = rat(a), rat(b)
     minus = [v for v in relevant_places(a, b) if hilbert_symbol(a, b, v) == -1]

@@ -18,7 +18,6 @@ from . import linalg, quat
 from .arith import (
     BrauerClass,
     brauer_class_of_symbol,
-    rat,
     rat_str,
     square_class,
 )
@@ -77,7 +76,7 @@ class StructureAlgebra:
         return tuple(1 if t == i else 0 for t in range(self.dim))
 
     def scalar(self, c) -> Vector:
-        c = linalg.scalar(rat(c))
+        c = linalg.scalar(c)
         return tuple(c * u for u in self.unit)
 
     def mul(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
@@ -665,7 +664,7 @@ def e2(a: InvolutionAlgebra) -> E2Pair:
         c1 = brauer_class_of_symbol(q1.a, q1.b)
         c2 = brauer_class_of_symbol(q2.a, q2.b)
         if c1 + c2 != alg_class:
-            raise AssertionError("component classes must sum to the algebra class")
+            raise AlgebraError("component classes must sum to the algebra class")
         return E2Pair(frozenset({c1, c2}), alg_class)
     if r == 3:
         # a decomposable degree-8 involution has one split Clifford component
@@ -712,7 +711,7 @@ class CliffordAlgebra(StructureAlgebra):
         n = len(diag)
         if n > MAX_CLIFFORD_DIM:
             raise AlgebraError(f"Clifford construction capped at dimension {MAX_CLIFFORD_DIM}")
-        diag = [linalg.scalar(rat(d)) for d in diag]
+        diag = linalg.vector(diag)
         dim = 1 << n
         labels = []
         for mask in range(dim):

@@ -4,31 +4,25 @@ Matrices are tuples of row tuples, vectors are tuples. Nothing here mutates
 its inputs; intermediate work happens on lists.
 
 The scalar rule: a value is an ``int`` when it is integral and a
-``fractions.Fraction`` otherwise, never a ``float``. ``scalar`` normalizes
-one value, ``vector`` and ``matrix`` normalize their entries, and every
-division goes through ``div``, which is exact (``int / int`` would be a
-float). Python ints and Fractions compare and hash equal, so the rule
-changes no result, only the cost of getting it: elimination (``det``,
-``rref``) is fraction-free on integer rows, with one division at the end.
+``fractions.Fraction`` otherwise, never a ``float``. ``scalar`` (the one
+coercion, ``arith.rat``) normalizes one value, ``vector`` and ``matrix``
+normalize their entries, and every division goes through ``div``, which is
+exact (``int / int`` would be a float). Python ints and Fractions compare
+and hash equal, so the rule changes no result, only the cost of getting it:
+elimination (``det``, ``rref``) is fraction-free on integer rows, with one
+division at the end.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-Scalar = Union[int, Fraction]
+from .arith import Scalar, rat as scalar  # noqa: F401 -- one coercion, two names
+
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
-
-
-def scalar(x) -> Scalar:
-    """x as an exact scalar: an int when it is integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:

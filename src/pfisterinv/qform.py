@@ -17,7 +17,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
@@ -193,13 +192,21 @@ class QuadraticForm:
     @staticmethod
     def from_json(data: dict) -> "QuadraticForm":
         if "diag" in data:
-            return QuadraticForm.from_diagonal([rat(x) for x in data["diag"]])
+            return QuadraticForm.from_diagonal(data["diag"])
         if "gram" in data:
-            return QuadraticForm([[rat(x) for x in row] for row in data["gram"]])
+            return QuadraticForm(data["gram"])
         raise ValueError("form JSON needs a 'diag' or 'gram' key")
 
     def __repr__(self):
         return f"QuadraticForm(dim={self.dim})"
+
+
+def _round_div(a: int, b: int) -> int:
+    """The integer nearest a / b, ties to even, as ``round`` rounds a Fraction."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    return q + (2 * r > b or 2 * r == b and q % 2)
 
 
 def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
@@ -234,9 +241,9 @@ def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
                 bij = gm[i][j]
                 vi, vj = gm[i][i], gm[j][j]
                 if vi != 0:
-                    t0 = round(Fraction(bij, vi))
+                    t0 = _round_div(bij, vi)
                 elif bij != 0:
-                    t0 = round(Fraction(vj, 2 * bij))
+                    t0 = _round_div(vj, 2 * bij)
                 else:
                     continue
                 best = None
@@ -293,7 +300,7 @@ def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Scalar, ...], Matrix]:
                 bz = bil(basis[a], wv)
                 if bz == 0:
                     continue
-                t = round(Fraction(-(values[b] + 2 * bz), 2 * bz))
+                t = round(linalg.div(-(values[b] + 2 * bz), 2 * bz))
                 cand_val = values[b] + 2 * (t + 1) * bz
                 if cand_val == 0:
                     cand_val = values[b] + 2 * (t + 2) * bz
@@ -445,7 +452,7 @@ def _locally_isotropic_at(diag: Sequence[int], p: int) -> bool:
         if not _is_local_square(det, p):
             return True
         return eps == hilbert_symbol(-1, -1, place)
-    raise AssertionError("local test only used for ranks 3 and 4")
+    raise ValueError("local test only used for ranks 3 and 4")
 
 
 def _diag_decision(diag: Sequence[int]) -> bool:
@@ -454,7 +461,7 @@ def _diag_decision(diag: Sequence[int]) -> bool:
     if n == 1:
         return False
     if n == 2:
-        return square_class(Fraction(-diag[0] * diag[1])) == 1
+        return square_class(-diag[0] * diag[1]) == 1
     pos = sum(1 for d in diag if d > 0)
     if pos == 0 or pos == n:
         return False  # definite

@@ -8,19 +8,18 @@ norm form, split detection, and an explicit splitting map to 2x2 matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .arith import brauer_class_of_symbol, rat, rat_str
-from .linalg import Matrix
-from .qform import QuadraticForm, isotropic_witnesses
+from .linalg import Matrix, Scalar
+from .qform import CertificateError, QuadraticForm, isotropic_witnesses
 
 
 @dataclass(frozen=True)
 class QuaternionAlgebra:
-    a: Fraction
-    b: Fraction
+    a: Scalar
+    b: Scalar
 
     def __post_init__(self):
         object.__setattr__(self, "a", rat(self.a))
@@ -51,13 +50,13 @@ class QuaternionAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "QuaternionAlgebra":
-        return QuaternionAlgebra(rat(data["a"]), rat(data["b"]))
+        return QuaternionAlgebra(data["a"], data["b"])
 
 
 @dataclass(frozen=True)
 class QuaternionElement:
     algebra: QuaternionAlgebra
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
+    coords: tuple[Scalar, Scalar, Scalar, Scalar]
 
     def __add__(self, other):
         self._check(other)
@@ -80,17 +79,11 @@ class QuaternionElement:
         c = rat(other)
         return QuaternionElement(self.algebra, tuple(c * x for x in self.coords))
 
-    def __rmul__(self, other):
-        c = rat(other)
-        return QuaternionElement(self.algebra, tuple(c * x for x in self.coords))
+    __rmul__ = __mul__  # only reached with a scalar on the left
 
     def _check(self, other):
         if self.algebra != other.algebra:
             raise ValueError("elements of different quaternion algebras")
-
-    @property
-    def is_pure(self) -> bool:
-        return self.coords[0] == 0
 
     def __repr__(self):
         return f"Quat({', '.join(rat_str(c) for c in self.coords)})"
@@ -113,11 +106,11 @@ def multiply(x: QuaternionElement, y: QuaternionElement) -> QuaternionElement:
     )
 
 
-def trd(x: QuaternionElement) -> Fraction:
+def trd(x: QuaternionElement) -> Scalar:
     return 2 * x.coords[0]
 
 
-def nrd(x: QuaternionElement) -> Fraction:
+def nrd(x: QuaternionElement) -> Scalar:
     a, b = x.algebra.a, x.algebra.b
     x0, x1, x2, x3 = x.coords
     return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
@@ -191,7 +184,7 @@ class SplittingMap:
     def apply(self, x: QuaternionElement) -> Matrix:
         if x.algebra != self.algebra:
             raise ValueError("element of a different algebra")
-        out = [[Fraction(0)] * 2 for _ in range(2)]
+        out = [[0] * 2 for _ in range(2)]
         for c, m in zip(x.coords, self.images):
             if c != 0:
                 for r in range(2):
@@ -218,7 +211,7 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
     span_rows = [(g * x).coords for g in q.basis()]
     ideal_basis = linalg.row_space_basis(linalg.matrix(span_rows))
     if len(ideal_basis) != 2:
-        raise AssertionError("left ideal of a zero divisor must have dimension 2")
+        raise CertificateError("left ideal of a zero divisor must have dimension 2")
     basis_matrix = linalg.transpose(linalg.matrix(ideal_basis))  # 4x2, columns v1, v2
 
     def rep(g: QuaternionElement) -> Matrix:
@@ -227,7 +220,7 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
             gv = (g * q.element(v)).coords
             sol = linalg.solve(basis_matrix, gv)
             if sol is None:
-                raise AssertionError("left ideal is not invariant")
+                raise CertificateError("left ideal is not invariant")
             cols.append(sol)
         return linalg.transpose(linalg.matrix(cols))
 
@@ -236,15 +229,11 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
     j_m = rep(q.j())
     k_m = linalg.mat_mul(i_m, j_m)
     if one_m != linalg.identity(2):
-        raise AssertionError("unit does not map to the identity")
-    if linalg.mat_mul(i_m, i_m) != tuple(
-        tuple(q.a if r == s else Fraction(0) for s in range(2)) for r in range(2)
-    ):
-        raise AssertionError("i relation fails")
-    if linalg.mat_mul(j_m, j_m) != tuple(
-        tuple(q.b if r == s else Fraction(0) for s in range(2)) for r in range(2)
-    ):
-        raise AssertionError("j relation fails")
+        raise CertificateError("unit does not map to the identity")
+    if linalg.mat_mul(i_m, i_m) != ((q.a, 0), (0, q.a)):
+        raise CertificateError("i relation fails")
+    if linalg.mat_mul(j_m, j_m) != ((q.b, 0), (0, q.b)):
+        raise CertificateError("j relation fails")
     if linalg.mat_mul(j_m, i_m) != tuple(tuple(-x for x in row) for row in k_m):
-        raise AssertionError("anticommutation fails")
+        raise CertificateError("anticommutation fails")
     return SplittingMap(q, (one_m, i_m, j_m, k_m))

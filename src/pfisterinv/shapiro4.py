@@ -17,7 +17,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import csa, linalg, qform
@@ -45,7 +44,7 @@ class Scenario:
     q1: QuaternionAlgebra
     q2: QuaternionAlgebra
     c: Vector
-    lam: Fraction
+    lam: Scalar
     seed: int
 
     def to_json(self) -> dict:
@@ -62,7 +61,7 @@ class Scenario:
         return Scenario(
             QuaternionAlgebra.from_json(data["q1"]),
             QuaternionAlgebra.from_json(data["q2"]),
-            linalg.vector([rat(x) for x in data["c"]]),
+            linalg.vector(data["c"]),
             rat(data["lambda"]),
             int(data["seed"]),
         )
@@ -76,12 +75,8 @@ def build_D(q1: QuaternionAlgebra, q2: QuaternionAlgebra) -> InvolutionAlgebra:
     )
 
 
-def _embed_q1(x: Sequence[Scalar]) -> Vector:
-    """Coordinates of x (x) 1 in the tensor basis of D."""
-    out = [0] * 16
-    for t, c in enumerate(x):
-        out[t * 4] = linalg.scalar(c)
-    return tuple(out)
+# e_s (x) 1 in the tensor basis of D: Q1 (x) 1, totally isotropic for q_u when Trd(u) = 0
+Q1_BASIS = tuple(tuple(1 if t == 4 * s else 0 for t in range(16)) for s in range(4))
 
 
 def _embed_tensor(x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
@@ -222,10 +217,9 @@ def check_claim_1(d: InvolutionAlgebra, z: Vector, qz: QuadraticForm) -> list[st
     """
     failures = []
     alg = d.algebra
-    basis = [_embed_q1([1 if t == s else 0 for t in range(4)]) for s in range(4)]
-    pairs = qz.pairing(basis, basis)
+    pairs = qz.pairing(Q1_BASIS, Q1_BASIS)
     for a in range(4):
-        if alg.trd(alg.mul(basis[a], z)) != 0:
+        if alg.trd(alg.mul(Q1_BASIS[a], z)) != 0:
             failures.append(f"claim1: Trd(e{a} z) != 0")
         for b in range(4):
             if pairs[a][b] != 0:
@@ -337,8 +331,7 @@ def check_claim_3_and_assemble(
     alg = d.algebra
     c_adj = alg.adjugate(s.c)
     gy_adj = alg.adjugate(d.sigma.apply(y))
-    q1_basis = [_embed_q1([1 if t == a else 0 for t in range(4)]) for a in range(4)]
-    span = list(q1_basis)
+    span = list(Q1_BASIS)
     for pure in ([0, 1, 0, 0], [0, 0, 1, 0]):
         w_basis = w_subspace(s, d, u, y, pure, c_adj, gy_adj)
         failures += check_claim_2(d, u, w_basis, qu)
@@ -406,6 +399,28 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
         new = [linalg.clear_denominators(lifted)]
         span.append(new[0])
     return span
+
+
+def certify_witt_index(
+    q: QuadraticForm, basis: Optional[Sequence[Vector]]
+) -> tuple[int, Optional[list[Vector]], list[str]]:
+    """(Witt index, Lagrangian or None, failures of ``check_lagrangian``) of q.
+
+    The Lagrangian is grown from the totally isotropic ``basis`` (None: none
+    known); once checked it certifies index dim/2 alone. Without one,
+    ``witt_decompose`` computes the index.
+    """
+    lagrangian, failures = None, []
+    if basis is not None:
+        try:
+            lagrangian = extend_to_lagrangian(q, basis)
+        except (CertificateError, qform.WitnessSearchLimit):
+            pass
+        else:
+            failures = check_lagrangian(q, lagrangian)
+            if not failures:
+                return q.dim // 2, lagrangian, failures
+    return qform.witt_decompose(q).witt_index, lagrangian, failures
 
 
 def check_lagrangian(q: QuadraticForm, lagrangian: Sequence[Vector]) -> list[str]:
@@ -497,20 +512,10 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     failures += check_claim_1(d, u.coords, qu)
     subspace, claim_failures = check_claim_3_and_assemble(s, d, u, y, qu)
     failures += claim_failures
-    lagrangian = None
-    if not claim_failures:
-        try:
-            lagrangian = extend_to_lagrangian(qu, subspace)
-        except (CertificateError, qform.WitnessSearchLimit):
-            lagrangian = None
-    witt_index = None
-    if lagrangian is not None:
-        lagrangian_failures = check_lagrangian(qu, lagrangian)
-        failures += lagrangian_failures
-        if not lagrangian_failures:
-            witt_index = 8
-    if witt_index is None:
-        witt_index = qform.witt_decompose(qu).witt_index
+    witt_index, lagrangian, lagrangian_failures = certify_witt_index(
+        qu, None if claim_failures else subspace
+    )
+    failures += lagrangian_failures
     if witt_index == 8:
         # q_u is hyperbolic, so its invariants are those of the split model
         # and membership in the cubic ideal is automatic -- no factoring of
@@ -578,7 +583,7 @@ def sample_scenario(seed: int) -> Scenario:
         )
         if d.algebra.is_invertible(c):
             break
-    lam = Fraction(rng.choice(LAMBDA_POOL))
+    lam = rng.choice(LAMBDA_POOL)
     return Scenario(q1, q2, c, lam, seed)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfisterinv.arith import (
@@ -67,6 +67,25 @@ class TestFactorize:
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(4, 2**31), st.integers(1, 3)), min_size=1, max_size=4
+        )
+    )
+    @example([(1009, 2)])
+    @example([(1048573, 2)])
+    @example([(2**61 - 1, 1)])
+    @example([(1031, 1), (2**61 - 1, 1)])
+    @settings(max_examples=120, deadline=None)
+    def test_matches_sympy_factorint(self, powers):
+        # primes of 3 to 31 bits, most of them past the trial-division limit
+        from sympy import factorint, nextprime
+
+        n = 1
+        for base, exp in powers:
+            n *= (base if is_prime(base) else int(nextprime(base))) ** exp
+        assert factorize(n) == {int(p): e for p, e in factorint(n).items()}
 
 
 class TestSquareClass:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pfisterinv import qform
+from pfisterinv import qform, quat
 from pfisterinv.cli import main
 
 
@@ -102,6 +102,15 @@ class TestQuat:
     def test_zero_symbol_rejected(self, capsys):
         code, _ = run(capsys, "quat", "split", "0", "3")
         assert code == 2
+
+    def test_failed_splitting_certificate_exits_2(self, capsys, monkeypatch):
+        # a left ideal that is not invariant under left multiplication
+        monkeypatch.setattr(quat.linalg, "solve", lambda a, b: None)
+        code = main(["quat", "splitmap", "1", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: left ideal is not invariant\n"
 
 
 class TestInv:
@@ -233,6 +242,20 @@ class TestShapiro4:
         p.write_text(
             json.dumps({"q1": {"a": "-3", "b": "2"}, "q2": {"a": "5", "b": "11"}, "u": u})
         )
+        code, out = run(capsys, "shapiro4", "verify-u", str(p))
+        assert code == 0
+        assert "branch=hyperbolic witt_index=8" in out
+        assert "verdict=pass (hyperbolic)" in out
+
+    @pytest.mark.parametrize("seed", [8, 16])
+    def test_verify_u_certifies_what_run_certifies(self, capsys, tmp_path, seed):
+        # the Witt index comes from a Lagrangian grown from Q1 (x) 1, so the u
+        # of these reports verifies without a 16-dimensional isotropy search
+        report = tmp_path / "report.json"
+        run(capsys, "shapiro4", "run", "--count", "1", "--seed", str(seed), "--json", str(report))
+        rep = json.loads(report.read_text())["reports"][0]
+        p = tmp_path / "u.json"
+        p.write_text(json.dumps({**rep["scenario"], "u": rep["u"]}))
         code, out = run(capsys, "shapiro4", "verify-u", str(p))
         assert code == 0
         assert "branch=hyperbolic witt_index=8" in out

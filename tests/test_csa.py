@@ -306,7 +306,7 @@ def _random_element(rng, dim):
 
 def _regular_trd(alg, x):
     m = alg.regular_matrix(x)
-    return sum(m[i][i] for i in range(alg.dim)) / alg.degree()
+    return linalg.div(sum(m[i][i] for i in range(alg.dim)), alg.degree())
 
 
 def _q_u_gram_reference(d, u):
@@ -320,7 +320,7 @@ def _q_u_gram_reference(d, u):
         for t in range(s, n):
             a = alg.mul(alg.basis_vector(s), right[t])
             b = alg.mul(alg.basis_vector(t), right[s])
-            val = (linalg.vec_dot(trace_row, a) + linalg.vec_dot(trace_row, b)) / 2
+            val = linalg.div(linalg.vec_dot(trace_row, a) + linalg.vec_dot(trace_row, b), 2)
             gram[s][t] = gram[t][s] = val
     return linalg.matrix(gram)
 

@@ -7,14 +7,17 @@ and walk the full reports of one hyperbolic and one definite scenario.
 """
 
 import dataclasses
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pfisterinv import linalg, shapiro4
-from pfisterinv.qform import DegenerateFormError, QuadraticForm
+import pfisterinv
+from pfisterinv import arith, linalg, quat, shapiro4
+from pfisterinv.qform import DegenerateFormError, QuadraticForm, _round_div
 from pfisterinv.quat import QuaternionAlgebra
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -57,6 +60,7 @@ def algebra_D(a1, b1, a2, b2):
 
 
 vectors16 = st.lists(small_ints, min_size=16, max_size=16)
+vectors4 = st.lists(small_ints, min_size=4, max_size=4)
 
 
 class TestLinalg:
@@ -65,7 +69,9 @@ class TestLinalg:
         assert linalg.div(1, 2) == Fraction(1, 2)
         assert type(linalg.div(Fraction(4, 3), Fraction(2, 3))) is int
         assert type(linalg.scalar(Fraction(8, 4))) is int
-        assert linalg.vector(["1/2", 3.0]) == (Fraction(1, 2), 3)
+        assert linalg.vector(["1/2", 3]) == (Fraction(1, 2), 3)
+        with pytest.raises(TypeError):
+            linalg.vector([3.0])
 
     @given(square_matrices(entries))
     @settings(max_examples=60, deadline=None)
@@ -155,3 +161,66 @@ def test_scenario_reports_hold_no_float(seed):
     assert_exact(report.u)
     for v in (report.isotropic_subspace or []) + (report.lagrangian or []):
         assert_exact(v)
+
+
+class TestOneCoercion:
+    def test_one_function_two_names(self):
+        assert linalg.scalar is arith.rat
+
+    @pytest.mark.parametrize("bad", [0.5, 3.0, None, 1j, [1]])
+    def test_float_and_other_types_raise(self, bad):
+        with pytest.raises(TypeError):
+            arith.rat(bad)
+        with pytest.raises(TypeError):
+            linalg.vector([bad])
+
+    def test_strings_and_fractions_follow_the_rule(self):
+        assert type(arith.rat("6/3")) is int and arith.rat("6/3") == 2
+        assert arith.rat(" -3/4 ") == Fraction(-3, 4)
+        assert type(arith.rat(Fraction(10, 5))) is int
+        assert type(arith.rat(True)) is int
+        assert type(arith.sqrt_rational(Fraction(36, 4))) is int
+        assert arith.sqrt_rational(Fraction(9, 4)) == Fraction(3, 2)
+        assert arith._val_unit(Fraction(12, 5), 2) == (2, Fraction(3, 5))
+        assert type(arith._val_unit(Fraction(12, 1), 2)[1]) is int
+
+    @given(symbols, symbols, vectors4, vectors4)
+    @settings(max_examples=40, deadline=None)
+    def test_quaternions_of_integral_symbols_are_ints(self, a, b, x, y):
+        q = QuaternionAlgebra(f"{a}/1", Fraction(b))
+        assert type(q.a) is int and type(q.b) is int
+        x, y = q.element(x), q.element(y)
+        products = (x * y).coords + (3 * x).coords
+        for value in (*x.coords, *products, quat.nrd(x), quat.trd(x)):
+            assert type(value) is int, value
+
+    def test_splitting_map_of_an_integral_symbol_is_exact(self):
+        sm = quat.splitting_isomorphism(QuaternionAlgebra(1, 5))
+        assert_exact(sm.images)
+        assert_exact(sm.apply(QuaternionAlgebra(1, 5).element([1, 2, 3, 4])))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-50, 50).filter(bool))
+@settings(max_examples=400, deadline=None)
+def test_round_div_is_round_of_the_fraction(a, b):
+    assert _round_div(a, b) == round(Fraction(a, b))
+    assert type(_round_div(a, b)) is int
+
+
+@pytest.mark.parametrize("b", [2, -2, 4, -4, 6, -6])
+def test_round_div_ties_go_to_even(b):
+    for k in range(-7, 8):
+        a = k * b + b // 2  # exactly halfway between k and k + 1
+        assert _round_div(a, b) == round(Fraction(a, b))
+        assert _round_div(a, b) % 2 == 0
+
+
+def test_source_guard():
+    """No AssertionError or bare assert in the package; Fraction built only in arith and linalg."""
+    src = pathlib.Path(pfisterinv.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "AssertionError" not in text, path.name
+        assert not re.search(r"^\s*assert\b", text, re.M), path.name
+        if path.name not in ("arith.py", "linalg.py"):
+            assert "Fraction(" not in text, path.name
