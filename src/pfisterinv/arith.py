@@ -145,8 +145,8 @@ def factorize(n: int) -> dict[int, int]:
                 factors[m] = factors.get(m, 0) + 1
                 continue
             if m > 10**18:
-                # sympy's gmpy2-backed machinery splits large hard
-                # composites far faster than the pure-Python rho below
+                # sympy's factorint (p - 1, rho and ECM) splits large hard
+                # composites that the plain Brent rho below is slow on
                 from sympy import factorint
 
                 for p, e in factorint(m).items():

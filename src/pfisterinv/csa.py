@@ -47,10 +47,10 @@ class StructureAlgebra:
 
     ``table[i][j]`` is a sparse map {k: c} meaning e_i e_j = sum c e_k.
     Associativity and the unit law are checked at construction (exhaustively
-    up to dimension 16, on a deterministic sample beyond). Tensor products
-    are not re-validated: the Kronecker structure constants of two
-    associative unital algebras are associative with the product unit by
-    construction, so only their factors are checked.
+    up to dimension 16, on a deterministic sample beyond) unless
+    ``validate=False``: quaternion tables (associative for every symbol) and
+    tensor products (Kronecker constants of associative unital algebras) hold
+    by construction, and the tests run the full check on them.
     """
 
     __slots__ = ("dim", "labels", "table", "unit", "trace_row")
@@ -208,16 +208,10 @@ class StructureAlgebra:
 
 
 def quaternion_structure(q: QuaternionAlgebra) -> StructureAlgebra:
-    """The 4-dimensional structure algebra of a quaternion symbol."""
+    """The 4-dimensional structure algebra of a quaternion symbol (not re-validated)."""
     basis = q.basis()
-    table = []
-    for x in basis:
-        row = []
-        for y in basis:
-            prod = (x * y).coords
-            row.append({k: c for k, c in enumerate(prod) if c != 0})
-        table.append(row)
-    return StructureAlgebra(["1", "i", "j", "k"], table, [1, 0, 0, 0])
+    table = [[dict(enumerate((x * y).coords)) for y in basis] for x in basis]
+    return StructureAlgebra(["1", "i", "j", "k"], table, [1, 0, 0, 0], validate=False)
 
 
 def matrix_structure(n: int) -> StructureAlgebra:
@@ -272,8 +266,8 @@ class Involution:
     The type tag is cross-checked against the dimension of the fixed space:
     an orthogonal involution on a degree-n algebra fixes n(n+1)/2 dimensions,
     a symplectic one n(n-1)/2. With ``validate=False`` only that check runs:
-    the tensor product of two validated involutions is an involution of the
-    tensor product algebra by construction.
+    gamma, tensor products and twists by a checked symmetric invertible u are
+    involutions by construction, and the tests run the full check on them.
     """
 
     algebra: StructureAlgebra
@@ -374,15 +368,17 @@ class InvolutionAlgebra:
 
 
 def from_quaternion(q: QuaternionAlgebra, inv: FactorInvolution) -> InvolutionAlgebra:
-    """Quaternion algebra as a structure algebra with gamma or Int(s) o gamma."""
+    """Quaternion algebra as a structure algebra with gamma or Int(s) o gamma.
+
+    gamma is an involution of every quaternion algebra and is not
+    re-validated; the matrix of Int(s) o gamma is.
+    """
     alg = quaternion_structure(q)
     if isinstance(inv, str):
         if inv != "canonical":
             raise AlgebraError(f"unknown involution descriptor {inv!r}")
-        m = linalg.matrix(
-            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-        )
-        sigma = Involution(alg, m, "symplectic")
+        m = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+        sigma = Involution(alg, m, "symplectic", validate=False)
         return InvolutionAlgebra(alg, sigma, ((q, None),))
     if isinstance(inv, QuaternionElement):
         inv = OrthogonalInvolution(inv)
@@ -418,7 +414,11 @@ def tensor(x: InvolutionAlgebra, y: InvolutionAlgebra) -> InvolutionAlgebra:
 
 
 def twist_involution(a: InvolutionAlgebra, u: Sequence[Scalar]) -> InvolutionAlgebra:
-    """Replace sigma by Int(u) o sigma for a sigma-symmetric invertible u."""
+    """Replace sigma by Int(u) o sigma for a sigma-symmetric invertible u.
+
+    Both properties of u are checked, and they make Int(u) o sigma an
+    involution, so it is not re-validated (only the type-tag check runs).
+    """
     u = linalg.vector(u)
     alg = a.algebra
     if a.sigma.apply(u) != u:
@@ -426,7 +426,7 @@ def twist_involution(a: InvolutionAlgebra, u: Sequence[Scalar]) -> InvolutionAlg
     u_inv = alg.inverse(u)
     cols = [alg.mul(alg.mul(u, a.sigma.apply(alg.basis_vector(t))), u_inv) for t in range(alg.dim)]
     m = linalg.transpose(linalg.matrix(cols))
-    sigma = Involution(alg, m, a.sigma.type_tag)
+    sigma = Involution(alg, m, a.sigma.type_tag, validate=False)
     prev = a.twist if a.twist is not None else alg.unit
     return InvolutionAlgebra(alg, sigma, a.factors, alg.mul(u, prev), a.matrix_iso)
 
@@ -474,27 +474,20 @@ def split_isomorphism(a: InvolutionAlgebra) -> AlgebraIso:
     return AlgebraIso(degree, tuple(images))
 
 
-def adjoint_gram(
-    a: InvolutionAlgebra,
-    iso: AlgebraIso,
-    generators: Optional[Sequence[Vector]] = None,
-) -> QuadraticForm:
+def adjoint_gram(a: InvolutionAlgebra, iso: AlgebraIso) -> QuadraticForm:
     """The quadratic form q with ad_q = sigma under the given splitting.
 
-    Solves G . iso(sigma(x)) = iso(x)^T . G on a generating set; the solution
-    space must be 1-dimensional and symmetric (an antisymmetric solution
-    signals a symplectic involution). The scalar ambiguity is fixed by making
-    the Gram matrix integral, primitive, with positive first nonzero entry.
+    Solves G . iso(sigma(x)) = iso(x)^T . G for x in a generating set of the
+    algebra (``_generators``). The x satisfying it form a subalgebra, since
+    sigma is an anti-automorphism and iso a homomorphism, so the solutions are
+    those of every basis element. The solution space must be 1-dimensional
+    and symmetric (an antisymmetric solution signals a symplectic
+    involution). The scalar ambiguity is fixed by making the Gram matrix
+    integral, primitive, with positive first nonzero entry.
     """
     n = iso.degree
-    alg = a.algebra
-    if generators is None:
-        if alg.dim > FULL_VALIDATION_DIM and a.factors is not None:
-            generators = _provenance_generators(a)
-        else:
-            generators = [alg.basis_vector(t) for t in range(alg.dim)]
-    rows = []
-    for x in generators:
+    rows = {}
+    for x in _generators(a):
         m = iso.apply(x)
         s = iso.apply(a.sigma.apply(x))
         # unknowns G[p][q] flattened as p*n+q
@@ -504,8 +497,10 @@ def adjoint_gram(
                 for k in range(n):
                     row[r * n + k] += s[k][c]
                     row[k * n + c] -= m[k][r]
-                rows.append(row)
-    kernel = linalg.nullspace(linalg.matrix(rows))
+                if any(row):  # zero and repeated equations add nothing
+                    rows[tuple(row)] = None
+    # M_1 has no generator besides its unit, which imposes nothing
+    kernel = linalg.nullspace(list(rows) or [[0] * (n * n)])
     if len(kernel) != 1:
         raise AlgebraError(
             f"adjoint Gram solution space has dimension {len(kernel)} (expected 1)"
@@ -521,19 +516,18 @@ def adjoint_gram(
     return QuadraticForm(g)
 
 
-def _provenance_generators(a: InvolutionAlgebra) -> list[Vector]:
-    """Images of each factor's i and j inside the tensor basis."""
-    dims = [4] * len(a.factors)
-    gens = []
-    for t in range(len(a.factors)):
-        for unit_index in (1, 2):  # i and j of factor t
-            idx = 0
-            for s, d in enumerate(dims):
-                idx *= d
-                idx += unit_index if s == t else 0
-            gens.append(a.algebra.basis_vector(idx))
-    gens.append(a.algebra.unit)
-    return gens
+def _generators(a: InvolutionAlgebra) -> list[Vector]:
+    """Each quaternion factor's i and j in the tensor basis, or the matrix
+    units E_{r,r+1} and E_{r+1,r} of ``adjoint_algebra``'s M_n."""
+    if a.factors is not None:
+        r = len(a.factors)
+        idx = [u * 4 ** (r - 1 - t) for t in range(r) for u in (1, 2)]
+    elif a.matrix_iso is not None:
+        n = a.matrix_iso.degree
+        idx = [i for r in range(n - 1) for i in (r * n + r + 1, (r + 1) * n + r)]
+    else:
+        raise AlgebraError("no generating set known for this algebra")
+    return [a.algebra.basis_vector(i) for i in idx]
 
 
 def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
@@ -542,21 +536,18 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
     alg = matrix_structure(n)
     g = q.gram
     g_inv = linalg.inverse(g)
+    units = tuple(
+        tuple(tuple(int((i, j) == (r, c)) for j in range(n)) for i in range(n))
+        for r in range(n)
+        for c in range(n)
+    )
     cols = []
-    for r in range(n):
-        for c in range(n):
-            e = tuple(tuple(int((i, j) == (r, c)) for j in range(n)) for i in range(n))
-            img = linalg.mat_mul(g_inv, linalg.mat_mul(linalg.transpose(e), g))
-            cols.append(tuple(img[i][j] for i in range(n) for j in range(n)))
+    for e in units:
+        img = linalg.mat_mul(g_inv, linalg.mat_mul(linalg.transpose(e), g))
+        cols.append(tuple(x for row in img for x in row))
     m = linalg.transpose(linalg.matrix(cols))
     sigma = Involution(alg, m, "orthogonal")
-    images = []
-    for r in range(n):
-        for c in range(n):
-            images.append(
-                tuple(tuple(int((i, j) == (r, c)) for j in range(n)) for i in range(n))
-            )
-    iso = AlgebraIso(n, tuple(images))
+    iso = AlgebraIso(n, units)
     return InvolutionAlgebra(alg, sigma, matrix_iso=iso), iso
 
 
@@ -609,9 +600,17 @@ def e1(a: InvolutionAlgebra) -> int:
 
 
 def adjoint_form(a: InvolutionAlgebra) -> QuadraticForm:
-    """Adjoint quadratic form of a split algebra with orthogonal involution."""
-    iso = a.matrix_iso if a.matrix_iso is not None else split_isomorphism(a)
-    return adjoint_gram(a, iso)
+    """Adjoint quadratic form of a split algebra with orthogonal involution.
+
+    Solved once per algebra and kept on it, so e1, e2, the Pfister verdict
+    and the caller share one solve.
+    """
+    form = getattr(a, "_adjoint_form", None)
+    if form is None:
+        iso = a.matrix_iso if a.matrix_iso is not None else split_isomorphism(a)
+        form = adjoint_gram(a, iso)
+        object.__setattr__(a, "_adjoint_form", form)
+    return form
 
 
 @dataclass(frozen=True)

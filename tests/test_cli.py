@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pfisterinv import qform, quat
+from pfisterinv import csa, qform, quat
 from pfisterinv.cli import main
 
 
@@ -128,17 +128,36 @@ class TestInv:
         assert "e0 = 1" in out
         assert "e1 undefined" in out
 
-    def test_adjoint_degree8_pfister(self, capsys, tmp_path):
+    def write_degree8_pfister(self, tmp_path):
         diag = ["1", "2", "3", "6", "5", "10", "15", "30"]
         gram = [
             [diag[i] if i == j else "0" for j in range(8)] for i in range(8)
         ]
-        path = self.write(tmp_path, {"adjoint": {"gram": gram}})
+        return self.write(tmp_path, {"adjoint": {"gram": gram}})
+
+    def test_adjoint_degree8_pfister(self, capsys, tmp_path):
+        path = self.write_degree8_pfister(tmp_path)
         code, out = run(capsys, "inv", "invariants", path)
         assert code == 0
         assert "e1 = 1" in out
         assert "trivial: True" in out
         assert "pfister involution: True" in out
+
+    def test_adjoint_form_is_solved_once(self, capsys, tmp_path, monkeypatch):
+        # e1, e2 and the Pfister verdict share the algebra's one adjoint form
+        calls = []
+        solve = csa.adjoint_gram
+        monkeypatch.setattr(csa, "adjoint_gram", lambda a, iso: calls.append(a) or solve(a, iso))
+        path = self.write_degree8_pfister(tmp_path)
+        code, out = run(capsys, "inv", "invariants", path)
+        assert len(calls) == 1
+        assert code == 0
+        assert out == (
+            "e0 = 0\n"
+            "e1 = 1\n"
+            "e2 = {trivial} (trivial: True)\n"
+            "pfister involution: True\n"
+        )
 
     def test_canonical_pair(self, capsys, tmp_path):
         path = self.write(

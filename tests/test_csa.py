@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfisterinv import csa, linalg, qform, quat
+from pfisterinv import csa, linalg, qform, quat, shapiro4
 from pfisterinv.arith import brauer_class_of_symbol, square_class
 from pfisterinv.csa import (
     AlgebraError,
@@ -28,6 +30,9 @@ from pfisterinv.quat import QuaternionAlgebra
 
 Q_HAMILTON = QuaternionAlgebra(Fraction(-1), Fraction(-1))
 Q_SPLIT = QuaternionAlgebra(Fraction(1), Fraction(5))
+
+
+nonzero_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=6).filter(bool)
 
 
 def canonical(a, b):
@@ -103,6 +108,55 @@ class TestTensor:
         not_anti = linalg.kron(x.sigma.matrix, linalg.identity(4))
         with pytest.raises(AlgebraError, match="anti-automorphism"):
             csa.Involution(alg, not_anti, "orthogonal")
+
+
+def _symmetric_units(d):
+    """The sigma-symmetric invertible basis elements other than 1."""
+    basis = [d.algebra.basis_vector(t) for t in range(1, d.algebra.dim)]
+    return [u for u in basis if d.sigma.apply(u) == u and d.algebra.is_invertible(u)]
+
+
+def _twists(d):
+    """d twisted by each symmetric invertible basis element, and one twisted twice."""
+    out = [twist_involution(d, u) for u in _symmetric_units(d)]
+    out.append(twist_involution(out[0], _symmetric_units(out[0])[-1]))
+    return out
+
+
+class TestHoldsByConstruction:
+    # quaternion tables, the canonical involution and twists by a checked
+    # symmetric invertible u are built with validate=False; the full checks
+    # confirm that they are algebras and involutions
+    def test_every_pool_symbol_and_its_gamma(self):
+        for a in shapiro4.SYMBOL_POOL:
+            for b in shapiro4.SYMBOL_POOL:
+                x = from_quaternion(QuaternionAlgebra(a, b), "canonical")
+                x.algebra._validate()
+                x.sigma._validate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(nonzero_rationals, nonzero_rationals)
+    def test_drawn_symbols_and_their_gamma(self, a, b):
+        x = from_quaternion(QuaternionAlgebra(a, b), "canonical")
+        x.algebra._validate()
+        x.sigma._validate()
+
+    @pytest.mark.parametrize(
+        "symbols", [((1, 5), (4, -3)), ((-1, -1), (2, 3)), ((-3, 2), (5, 11)), ((1, 1), (-1, -1))]
+    )
+    def test_twisted_products(self, symbols):
+        d = tensor(*(canonical(a, b) for a, b in symbols))
+        twisted = _twists(d)
+        assert len(twisted) >= 3
+        for t in twisted:
+            t.sigma._validate()
+
+    def test_corrupted_twist_is_rejected(self):
+        t = _twists(tensor(canonical(1, 5), canonical(4, -3)))[0]
+        broken = [list(row) for row in t.sigma.matrix]
+        broken[1], broken[2] = broken[2], broken[1]
+        with pytest.raises(AlgebraError):
+            csa.Involution(t.algebra, linalg.matrix(broken), t.sigma.type_tag)
 
 
 class TestAdjoint:

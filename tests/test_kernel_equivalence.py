@@ -7,10 +7,10 @@ package) as the specification the current code must reproduce exactly.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pfisterinv import linalg, qform, shapiro4
+from pfisterinv import csa, linalg, qform, quat, shapiro4
 from pfisterinv.arith import BrauerClass, brauer_class_of_symbol
 from pfisterinv.quat import QuaternionAlgebra
 
@@ -215,3 +215,118 @@ class TestScalarTraceForm:
         rows = [alg.mul(alg.basis_vector(t), g.apply(s.c)) for t in range(16)]
         congruent = shapiro4.q_u_form(d, u0).pairing(rows, rows)
         assert congruent == shapiro4.scalar_trace_form(d, mu).gram
+
+
+def adjoint_gram_reference(a, iso):
+    """G . iso(sigma(x)) = iso(x)^T . G imposed on every basis element."""
+    n = iso.degree
+    alg = a.algebra
+    rows = []
+    for t in range(alg.dim):
+        x = alg.basis_vector(t)
+        m = iso.apply(x)
+        s = iso.apply(a.sigma.apply(x))
+        for r in range(n):
+            for c in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[r * n + k] += s[k][c]
+                    row[k * n + c] -= m[k][r]
+                rows.append(row)
+    kernel = linalg.nullspace(linalg.matrix(rows))
+    if len(kernel) != 1:
+        raise csa.AlgebraError("solution space is not 1-dimensional")
+    flat = kernel[0]
+    if any(flat[r * n + c] != flat[c * n + r] for r in range(n) for c in range(n)):
+        raise csa.AlgebraError("adjoint Gram is not symmetric")
+    flat_int = linalg.clear_denominators(flat)
+    return tuple(tuple(flat_int[r * n + c] for c in range(n)) for r in range(n))
+
+
+SPLIT_SYMBOLS = [
+    (a, b)
+    for a in shapiro4.SYMBOL_POOL
+    for b in shapiro4.SYMBOL_POOL
+    if quat.is_split(QuaternionAlgebra(a, b))
+]
+
+
+@st.composite
+def split_products(draw):
+    """A split degree-4 canonical product, twisted by a drawn symmetric unit or not."""
+    (a1, b1), (a2, b2) = draw(st.lists(st.sampled_from(SPLIT_SYMBOLS), min_size=2, max_size=2))
+    d = csa.tensor(
+        csa.from_quaternion(QuaternionAlgebra(a1, b1), "canonical"),
+        csa.from_quaternion(QuaternionAlgebra(a2, b2), "canonical"),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        basis = [d.algebra.basis_vector(t) for t in range(1, 16)]
+        units = [u for u in basis if d.sigma.apply(u) == u and d.algebra.is_invertible(u)]
+        d = csa.twist_involution(d, draw(st.sampled_from(units)))
+    return d
+
+
+@st.composite
+def nondegenerate_grams(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    cells = draw(
+        st.lists(st.integers(-5, 5), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+    )
+    it = iter(cells)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = next(it)
+    assume(linalg.det(g) != 0)
+    return g
+
+
+class TestAdjointGram:
+    """Equations on generators give the Gram of the equations on every basis element."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_products())
+    def test_split_products_plain_and_twisted(self, d):
+        iso = csa.split_isomorphism(d)
+        assert csa.adjoint_gram(d, iso).gram == adjoint_gram_reference(d, iso)
+
+    @settings(max_examples=20, deadline=None)
+    @given(nondegenerate_grams())
+    def test_adjoint_algebras_of_dimension_1_to_4(self, gram):
+        self.check_adjoint_algebra(gram)
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[5]],
+            [[0, 1], [1, 0]],
+            [[1, 2, 0], [2, -3, 1], [0, 1, 7]],
+            [[2, 1, 0, 0], [1, -1, 0, 0], [0, 0, 3, 5], [0, 0, 5, -6]],
+            [[1, 0, 0, 0, 2], [0, -2, 1, 0, 0], [0, 1, 3, 0, 0], [0, 0, 0, 5, 0], [2, 0, 0, 0, -7]],
+        ],
+        ids=lambda g: f"dim{len(g)}",
+    )
+    def test_adjoint_algebras_of_dimension_1_to_5(self, gram):
+        self.check_adjoint_algebra(gram)
+
+    @staticmethod
+    def check_adjoint_algebra(gram):
+        a, iso = csa.adjoint_algebra(qform.QuadraticForm(gram))
+        expected = adjoint_gram_reference(a, iso)
+        assert csa.adjoint_gram(a, iso).gram == expected
+        assert csa.adjoint_form(a).gram == expected
+
+    @pytest.mark.parametrize("symbols", [((1, 5), (1, 5)), ((4, -3), (2, -1))])
+    def test_symplectic_product_still_raises(self, symbols):
+        (a1, b1), (a2, b2) = symbols
+        q2 = QuaternionAlgebra(a2, b2)
+        d = csa.tensor(
+            csa.from_quaternion(QuaternionAlgebra(a1, b1), "canonical"),
+            csa.from_quaternion(q2, q2.i()),
+        )
+        assert d.sigma.type_tag == "symplectic"
+        iso = csa.split_isomorphism(d)
+        with pytest.raises(csa.AlgebraError):
+            adjoint_gram_reference(d, iso)
+        with pytest.raises(csa.AlgebraError, match="alternating"):
+            csa.adjoint_gram(d, iso)
