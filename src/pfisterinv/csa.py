@@ -48,9 +48,10 @@ class StructureAlgebra:
     ``table[i][j]`` is a sparse map {k: c} meaning e_i e_j = sum c e_k.
     Associativity and the unit law are checked at construction (exhaustively
     up to dimension 16, on a deterministic sample beyond) unless
-    ``validate=False``: quaternion tables (associative for every symbol) and
-    tensor products (Kronecker constants of associative unital algebras) hold
-    by construction, and the tests run the full check on them.
+    ``validate=False``: quaternion tables (associative for every symbol),
+    matrix units and tensor products (Kronecker constants of associative
+    unital algebras) hold by construction, and the tests run the full check
+    on them.
     """
 
     __slots__ = ("dim", "labels", "table", "unit", "trace_row")
@@ -215,7 +216,7 @@ def quaternion_structure(q: QuaternionAlgebra) -> StructureAlgebra:
 
 
 def matrix_structure(n: int) -> StructureAlgebra:
-    """The matrix algebra M_n(Q) on the basis of matrix units."""
+    """The matrix algebra M_n(Q) on the basis of matrix units (not re-validated)."""
     labels = [f"E{r}{c}" for r in range(n) for c in range(n)]
     idx = lambda r, c: r * n + c
     table = []
@@ -227,7 +228,7 @@ def matrix_structure(n: int) -> StructureAlgebra:
                     row.append({idx(r, d): 1} if c == s else {})
             table.append(row)
     unit = [1 if r == c else 0 for r in range(n) for c in range(n)]
-    return StructureAlgebra(labels, table, unit)
+    return StructureAlgebra(labels, table, unit, validate=False)
 
 
 def tensor_structure(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -266,8 +267,9 @@ class Involution:
     The type tag is cross-checked against the dimension of the fixed space:
     an orthogonal involution on a degree-n algebra fixes n(n+1)/2 dimensions,
     a symplectic one n(n-1)/2. With ``validate=False`` only that check runs:
-    gamma, tensor products and twists by a checked symmetric invertible u are
-    involutions by construction, and the tests run the full check on them.
+    gamma, tensor products, twists by a checked symmetric invertible u and
+    adjoint involutions are involutions by construction, and the tests run
+    the full check on them.
     """
 
     algebra: StructureAlgebra
@@ -416,14 +418,19 @@ def tensor(x: InvolutionAlgebra, y: InvolutionAlgebra) -> InvolutionAlgebra:
 def twist_involution(a: InvolutionAlgebra, u: Sequence[Scalar]) -> InvolutionAlgebra:
     """Replace sigma by Int(u) o sigma for a sigma-symmetric invertible u.
 
-    Both properties of u are checked, and they make Int(u) o sigma an
-    involution, so it is not re-validated (only the type-tag check runs).
+    The length and both properties of u are checked; they make Int(u) o sigma
+    an involution, so it is not re-validated (only the type-tag check runs).
     """
     u = linalg.vector(u)
     alg = a.algebra
+    if len(u) != alg.dim:
+        raise AlgebraError(f"twisting element needs {alg.dim} coordinates, not {len(u)}")
     if a.sigma.apply(u) != u:
         raise AlgebraError("twisting element must be symmetric under sigma")
-    u_inv = alg.inverse(u)
+    try:
+        u_inv = alg.inverse(u)
+    except ZeroDivisionError:
+        raise AlgebraError("twisting element must be invertible") from None
     cols = [alg.mul(alg.mul(u, a.sigma.apply(alg.basis_vector(t))), u_inv) for t in range(alg.dim)]
     m = linalg.transpose(linalg.matrix(cols))
     sigma = Involution(alg, m, a.sigma.type_tag, validate=False)
@@ -531,7 +538,11 @@ def _generators(a: InvolutionAlgebra) -> list[Vector]:
 
 
 def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
-    """End(V) with the adjoint involution of the given form, plus its identity iso."""
+    """End(V) with the adjoint involution of the given form, plus its identity iso.
+
+    X -> G^{-1} X^T G is an involution for every symmetric nondegenerate G,
+    which QuadraticForm guarantees, so it is not re-validated.
+    """
     n = q.dim
     alg = matrix_structure(n)
     g = q.gram
@@ -546,7 +557,7 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
         img = linalg.mat_mul(g_inv, linalg.mat_mul(linalg.transpose(e), g))
         cols.append(tuple(x for row in img for x in row))
     m = linalg.transpose(linalg.matrix(cols))
-    sigma = Involution(alg, m, "orthogonal")
+    sigma = Involution(alg, m, "orthogonal", validate=False)
     iso = AlgebraIso(n, units)
     return InvolutionAlgebra(alg, sigma, matrix_iso=iso), iso
 

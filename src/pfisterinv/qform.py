@@ -4,9 +4,8 @@ Witt decomposition, Pfister constructions, and power-of-the-fundamental-ideal
 
 All decisions are exact. Isotropy is decided by the local-global principle
 (real signature plus finitely many p-adic conditions); explicit isotropic
-vectors come from a bounded meet-in-the-middle search on a diagonalization,
-which terminates whenever the local-global decision is "isotropic" but is
-capped by a configurable candidate ceiling.
+vectors of a diagonalization come from conic descent in dimension 3 and
+binary splitting (Serre, IV.3) above, without enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -26,6 +24,7 @@ from .arith import (
     brauer_class_of_symbol,
     factorize,
     hilbert_symbol,
+    is_prime,
     rat,
     rat_str,
     sqrt_mod_prime,
@@ -34,13 +33,6 @@ from .arith import (
     square_classes,
 )
 from .linalg import Matrix, Scalar, Vector
-
-DEFAULT_SEARCH_CEILING = 10**6
-
-
-def search_ceiling() -> int:
-    return int(os.environ.get("PFISTER_SEARCH_CEILING", DEFAULT_SEARCH_CEILING))
-
 
 class DegenerateFormError(ValueError):
     """The Gram matrix is singular; only non-degenerate forms are supported."""
@@ -51,11 +43,8 @@ class CertificateError(RuntimeError):
 
 
 class WitnessSearchLimit(RuntimeError):
-    """The isotropy decision is positive but no witness was found below the ceiling."""
-
-    def __init__(self, message: str, ceiling: int):
-        super().__init__(message)
-        self.ceiling = ceiling
+    """The isotropy decision is positive but the witness route found no zero:
+    conic descent failed, or binary splitting passed its bound on q."""
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +407,7 @@ def pfister(slots: Sequence) -> QuadraticForm:
 
 
 # ---------------------------------------------------------------------------
-# isotropy: local-global decision plus explicit witness search
+# isotropy: local-global decision plus explicit witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -502,7 +491,7 @@ def _conic_point(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
     reducing it against the definite companion form |a|x^2 + |b|y^2 + |c|z^2
     makes an exact zero appear among small combinations of the reduced basis.
     Returns None when the bounded search fails (in particular whenever the
-    form is anisotropic), letting the caller fall back to direct enumeration.
+    form is anisotropic).
     """
     if a == 0 or b == 0 or c == 0:
         return None
@@ -582,43 +571,6 @@ def _conic_point(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _diag_witness_stream(diag: Sequence[int], ceiling: int) -> Iterator[tuple[int, ...]]:
-    """Nonzero integer vectors x with sum diag[i] x_i^2 == 0, cheapest first.
-
-    Coordinates are non-negative (the value only depends on |x_i|). A ternary
-    isotropic subform is solved exactly by lattice descent; otherwise vectors
-    are produced by a meet-in-the-middle enumeration over growing boxes, with
-    the total number of enumerated half-vectors capped by ``ceiling``.
-    """
-    n = len(diag)
-    # fast path: complementary squarefree entries give an immediate witness
-    for i in range(n):
-        for j in range(i + 1, n):
-            if diag[i] == -diag[j]:
-                v = [0] * n
-                v[i] = v[j] = 1
-                yield tuple(v)
-    # search inside a minimal isotropic subform: dramatically smaller boxes
-    subset = _isotropic_subset(diag)
-    idxs = subset if subset is not None and len(subset) < n else list(range(n))
-    sub = [diag[i] for i in idxs]
-    if len(sub) == 3:
-        sol = _conic_point(*sub)
-        if sol is not None:
-            v = [0] * n
-            for pos, coord in zip(idxs, sol):
-                v[pos] = abs(coord)
-            yield tuple(v)
-    if len(sub) < n:
-        for w in _mitm_stream(sub, ceiling):
-            v = [0] * n
-            for pos, coord in zip(idxs, w):
-                v[pos] = coord
-            yield tuple(v)
-        return
-    yield from _mitm_stream(diag, ceiling)
-
-
 def _isotropic_subset(diag: Sequence[int]) -> Optional[list[int]]:
     """Indices of a small isotropic subform, or None to use all coordinates.
 
@@ -651,50 +603,86 @@ def _isotropic_subset(diag: Sequence[int]) -> Optional[list[int]]:
     return sorted(pick)
 
 
-def _mitm_stream(diag: Sequence[int], ceiling: int) -> Iterator[tuple[int, ...]]:
-    """Value-bounded meet-in-the-middle zeros of a squarefree diagonal form."""
+# the primes q that binary splitting scans lie below this bound
+_SPLIT_BOUND = 10**6
+
+
+def _class_reps(p: int) -> tuple[int, ...]:
+    """Integers representing every square class of Q_p^x."""
+    if p == 2:
+        return (1, 3, 5, 7, 2, 6, 10, 14)
+    u = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) != 1)
+    return (1, u, p, u * p)
+
+
+def _split_point(diag: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Nonzero integer zero of an isotropic squarefree diagonal form, or None.
+
+    The form has 3 to 5 entries. A ternary one is solved by conic descent,
+    larger ones by binary splitting (Serre, *A Course in Arithmetic*,
+    IV.3): <a_0, a_1> + rest is isotropic iff some t makes <a_0, a_1, -t> and
+    rest + <t> both isotropic, and their zeros (x_0, x_1, z) and (y, w)
+    combine into (w x_0, w x_1, z y). Here t = s q: the sign of s and its
+    primes, among those of 2 a_0 ... a_n, give t a valuation that works at
+    the real place and at each of those primes, and q is the first prime of
+    a scan that also gives t a unit part that works there. No other place
+    imposes a condition. None when conic descent fails or no q below
+    ``_SPLIT_BOUND`` works.
+    """
     n = len(diag)
-    h1 = (n + 1) // 2
-    left, right = diag[:h1], diag[h1:]
-    seen_left: dict[int, list[tuple[int, ...]]] = {}
-    seen_right: dict[int, list[tuple[int, ...]]] = {}
-    enumerated: tuple[set, set] = (set(), set())
-    count = 0
-    bound = min(abs(d) for d in diag)
-    emitted = set()
-    while True:
-        new_left, new_right = [], []
-        for half, new, done in ((left, new_left, enumerated[0]), (right, new_right, enumerated[1])):
-            if not half:
-                continue
-            # each coordinate is capped so its term stays within the bound
-            ranges = [range(math.isqrt(bound // abs(d)) + 1) for d in half]
-            for x in itertools.product(*ranges):
-                if x in done:
-                    continue
-                done.add(x)
-                count += 1
-                new.append(x)
-        if count > ceiling:
-            raise WitnessSearchLimit(
-                f"no isotropic vector within {ceiling} candidates", ceiling
-            )
-        hits = set()
-        for x in new_left:
-            val = sum(a * c * c for a, c in zip(left, x))
-            seen_left.setdefault(val, []).append(x)
-        for y in new_right:
-            val = sum(a * c * c for a, c in zip(right, y))
-            seen_right.setdefault(val, []).append(y)
-        for val, xs in seen_left.items():
-            for y in seen_right.get(-val, []):
-                for x in xs:
-                    hits.add(x + y)
-        for v in sorted(hits, key=lambda t: (max(t), t)):
-            if any(v) and v not in emitted:
-                emitted.add(v)
-                yield v
-        bound *= 2
+    if n == 3:
+        return _conic_point(*diag)
+    a0, a1, rest = diag[0], diag[1], list(diag[2:])
+    primes = sorted({2}.union(*map(factorize, diag)))
+    s = 1 if max(a0, a1) > 0 and min(rest) < 0 else -1
+    for p in primes:
+        for r in _class_reps(p):
+            if _locally_isotropic_at([a0, a1, -r], p) and _locally_isotropic_at(rest + [r], p):
+                if r % p == 0:
+                    s *= p
+                break
+        else:
+            return None  # anisotropic at p
+    odd_primes = (q for q in range(3, _SPLIT_BOUND, 2) if q not in primes and is_prime(q))
+    for q in itertools.chain([1], odd_primes):
+        t = s * q
+        if not (_diag_decision([a0, a1, -t]) and _diag_decision(rest + [t])):
+            continue
+        x = _conic_point(a0, a1, -t)
+        y = _split_point(rest + [t]) if x is not None else None
+        if y is not None:
+            break
+    else:
+        return None
+    *y, w = y
+    if x[2] == 0:  # <a_0, a_1> is isotropic by itself
+        w = 1
+    return (w * x[0], w * x[1], *(x[2] * c for c in y))
+
+
+def _diag_witness(diag: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer zero of an isotropic squarefree diagonal form.
+
+    Coordinates are non-negative (the value only depends on |x_i|). A
+    complementary pair a, -a gives the zero at once; otherwise
+    ``_split_point`` solves the isotropic subform ``_isotropic_subset``
+    finds, or the whole form; WitnessSearchLimit when it finds none.
+    """
+    n = len(diag)
+    for i, j in itertools.combinations(range(n), 2):
+        if diag[i] == -diag[j]:
+            v = [0] * n
+            v[i] = v[j] = 1
+            return tuple(v)
+    idxs = _isotropic_subset(diag) or range(n)
+    sub = [diag[i] for i in idxs]
+    sol = _split_point(sub)
+    if sol is None:
+        raise WitnessSearchLimit(f"no isotropic vector found for the diagonal {sub}")
+    v = [0] * n
+    for pos, coord in zip(idxs, sol):
+        v[pos] = abs(coord)
+    return tuple(v)
 
 
 def _cheap_zeros(q: QuadraticForm) -> Iterator[Vector]:
@@ -722,8 +710,8 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
     (a binary form's stream ends with its two isotropic lines).
     First the cheap zeros and small combinations of them that stay isotropic.
     Without cheap zeros, a binary form is decided by a square root; any other
-    by the local-global principle, and a bounded search (WitnessSearchLimit
-    at the ceiling) gives its first zero. The secant construction through
+    by the local-global principle, and conic descent or binary splitting of
+    its squarefree diagonal gives its first zero. The secant construction through
     the first zero then yields an unbounded deterministic stream covering
     many directions, so consumers that filter witnesses terminate quickly.
     """
@@ -765,7 +753,7 @@ def isotropic_witnesses(q: QuadraticForm) -> Iterator[tuple[int, ...]]:
     elif not _isotropy_decision(q):
         return
     else:
-        x = next(_diag_witness_stream(q.squarefree_diagonal(), search_ceiling()))
+        x = _diag_witness(q.squarefree_diagonal())
         v = linalg.mat_vec(q.squarefree_basis(), x)
         base = linalg.clear_denominators(v)
     if base not in seen:
@@ -823,8 +811,8 @@ def is_isotropic(q: QuadraticForm) -> IsotropyResult:
     """Decide isotropy over Q and, when isotropic, produce an explicit zero.
 
     The first element of ``isotropic_witnesses(q)``, which is empty exactly
-    when q is anisotropic; WitnessSearchLimit when the bounded search for that
-    first witness hits the ceiling.
+    when q is anisotropic; WitnessSearchLimit when the witness route finds
+    no first witness of an isotropic q.
     """
     witness = next(isotropic_witnesses(q), None)
     return IsotropyResult(witness is not None, witness)

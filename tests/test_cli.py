@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, JSON output, file-based inputs."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -60,24 +59,24 @@ class TestQf:
         code, _ = run(capsys, "qf", "invariants", "--diag", "1,zebra")
         assert code == 2
 
-    def test_search_ceiling_exits_2(self):
+    def test_witness_route_failure_exits_2(self, capsys, monkeypatch):
         # <7, -1, 7, 11> is isotropic, but it has no zero on a basis vector
         # or in its form reduction, and no isotropic ternary subform, so its
-        # first witness comes from the bounded search
+        # first witness comes from binary splitting
         q = qform.QuadraticForm.from_diagonal([7, -1, 7, 11])
         assert list(qform._cheap_zeros(q)) == []
         assert qform._isotropy_decision(q)
         assert qform._isotropic_subset(q.squarefree_diagonal()) is None
         argv = [sys.executable, "-m", "pfisterinv.cli", "qf", "witt", "--diag=7,-1,7,11"]
-        env = {k: v for k, v in os.environ.items() if k != "PFISTER_SEARCH_CEILING"}
-        found = subprocess.run(argv, capture_output=True, text=True, env=env)
+        found = subprocess.run(argv, capture_output=True, text=True)
         assert found.returncode == 0, found.stderr
         assert json.loads(found.stdout)["witt_index"] == 1
-        env["PFISTER_SEARCH_CEILING"] = "20"
-        capped = subprocess.run(argv, capture_output=True, text=True, env=env)
-        assert capped.returncode == 2
-        assert capped.stdout == ""
-        assert capped.stderr == "error: no isotropic vector within 20 candidates\n"
+        monkeypatch.setattr(qform, "_split_point", lambda diag: None)
+        code = main(["qf", "witt", "--diag=7,-1,7,11"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestQuat:
@@ -191,6 +190,26 @@ class TestInv:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "twist",
+        [
+            # 1 + i(x)i is a zero divisor: (i(x)i)^2 = 1 in (1, 1) (x) (1, 1)
+            ["1", "0", "0", "0", "0", "1"] + ["0"] * 10,
+            # 20 coordinates for a 16-dimensional algebra
+            ["1"] + ["0"] * 18 + ["1"],
+        ],
+    )
+    def test_bad_twist_is_an_error(self, capsys, tmp_path, twist):
+        path = self.write(
+            tmp_path,
+            {"factors": [{"a": "1", "b": "1"}, {"a": "1", "b": "1"}], "twist": twist},
+        )
+        code = main(["inv", "invariants", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_uncomputable_clifford_pair_is_an_error(self, capsys, tmp_path):
         # e1 = 1 through the reduced norm of the twist, but e2 of a twisted

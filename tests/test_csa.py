@@ -124,9 +124,10 @@ def _twists(d):
 
 
 class TestHoldsByConstruction:
-    # quaternion tables, the canonical involution and twists by a checked
-    # symmetric invertible u are built with validate=False; the full checks
-    # confirm that they are algebras and involutions
+    # quaternion tables, matrix units, the canonical involution, twists by a
+    # checked symmetric invertible u and adjoint involutions are built with
+    # validate=False; the full checks confirm that they are algebras and
+    # involutions
     def test_every_pool_symbol_and_its_gamma(self):
         for a in shapiro4.SYMBOL_POOL:
             for b in shapiro4.SYMBOL_POOL:
@@ -150,6 +151,22 @@ class TestHoldsByConstruction:
         assert len(twisted) >= 3
         for t in twisted:
             t.sigma._validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_adjoint_involutions(self, n):
+        # X -> G^{-1} X^T G for a diagonal G and a tridiagonal G whose
+        # inverse is not integral
+        diagonal = [[(-1) ** i * (i + 2) if i == j else 0 for j in range(n)] for i in range(n)]
+        tridiagonal = [
+            [2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)
+        ]
+        for gram in (diagonal, tridiagonal):
+            a, _ = adjoint_algebra(QuadraticForm(gram))
+            a.sigma._validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_units(self, n):
+        csa.matrix_structure(n)._validate()
 
     def test_corrupted_twist_is_rejected(self):
         t = _twists(tensor(canonical(1, 5), canonical(4, -3)))[0]

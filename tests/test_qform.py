@@ -1,14 +1,16 @@
 """Quadratic forms: diagonalization, invariants, isotropy, Witt theory,
 Pfister recognition, fundamental-ideal membership."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pfisterinv import linalg, qform
+from pfisterinv.arith import square_class
 from pfisterinv.qform import (
     DegenerateFormError,
     QuadraticForm,
@@ -194,6 +196,52 @@ class TestIsotropy:
         q = QuadraticForm.from_diagonal(entries)
         assert list(qform.isotropic_witnesses(q)) == []
         assert is_isotropic(q) == qform.IsotropyResult(False, None)
+
+
+squarefree = st.integers(min_value=-60, max_value=60).filter(
+    lambda n: n != 0 and square_class(n) == n
+)
+
+
+class TestBinarySplitting:
+    def assert_zero(self, diag, w):
+        assert any(w)
+        assert sum(d * x * x for d, x in zip(diag, w)) == 0
+
+    def test_no_cheap_zero_and_no_isotropic_ternary_subform(self):
+        diag = [7, -1, 7, 11]
+        assert list(qform._cheap_zeros(QuadraticForm.from_diagonal(diag))) == []
+        assert qform._isotropic_subset(diag) is None
+        self.assert_zero(diag, qform._diag_witness(diag))
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            # no |t| up to 20,000 splits it as <-15, 206> | <6018, -243301992810>
+            [-15, 206, 6018, -243301992810],
+            # no |t| up to 10^6 splits it at all: t needs large primes of the
+            # diagonal
+            [966, 33090, 11510, -7796762968785],
+        ],
+    )
+    def test_split_value_beyond_a_scan_by_size(self, diag):
+        # residual diagonals of Witt decompositions of forms benchmark inputs
+        assert all(square_class(d) == d for d in diag)
+        assert qform._diag_decision(diag)
+        assert qform._isotropic_subset(diag) is None
+        self.assert_zero(diag, qform._diag_witness(diag))
+
+    def test_quinary_without_isotropic_quaternary_subform(self):
+        diag = [-15, -14, -7, 3, 5]
+        assert not any(qform._diag_decision(list(s)) for s in itertools.combinations(diag, 4))
+        assert qform._isotropic_subset(diag) is None
+        self.assert_zero(diag, qform._diag_witness(diag))
+
+    @given(st.lists(squarefree, min_size=4, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_every_isotropic_diagonal_splits(self, diag):
+        assume(qform._diag_decision(diag))
+        self.assert_zero(diag, qform._split_point(diag))
 
 
 class TestWitt:
