@@ -213,6 +213,8 @@ def _emit_reports(reports, json_path) -> int:
 
 def _cmd_shapiro4(args) -> int:
     if args.s4_cmd == "run":
+        if args.count < 1:
+            raise CliError(f"--count must be at least 1, got {args.count}")
         reports = shapiro4.run_batch(args.count, args.seed)
         return _emit_reports(reports, args.json)
     if args.s4_cmd == "verify":

@@ -352,24 +352,26 @@ def saturated_constrained_lattice(
     Constraint rows are imposed one at a time; each step keeps a saturated
     basis, so short solution vectors remain reachable by LLL.
     """
-    ambient = len(lattice[0]) if lattice else 0
     lattice = [vector(b) for b in lattice]
     for row in constraints:
         f = [vec_dot(row, b) for b in lattice]
-        if all(x == 0 for x in f):
-            continue
-        kernel = primitive_kernel_basis(list(clear_denominators(f)))
-        new_lattice = []
-        for coeffs in kernel:
-            v = zero_vector(ambient)
-            for c, b in zip(coeffs, lattice):
-                if c:
-                    v = vec_add(v, vec_scale(c, b))
-            new_lattice.append(v)
-        lattice = lll_reduce(new_lattice) if new_lattice else []
-        if not lattice:
-            break
+        if any(f):
+            lattice = functional_kernel(f, lattice)
     return lattice
+
+
+def functional_kernel(f: Sequence[Scalar], lattice: Sequence[Vector]) -> list[Vector]:
+    """LLL-reduced basis of the sublattice of ``lattice`` on which the
+    functional with the nonzero values ``f`` on its basis vanishes; saturated
+    when ``lattice`` is. Only the direction of ``f`` matters."""
+    new_lattice = []
+    for coeffs in primitive_kernel_basis(list(clear_denominators(f))):
+        v = zero_vector(len(lattice[0]))
+        for c, b in zip(coeffs, lattice):
+            if c:  # kernel vectors are sparse; skip their zero coefficients
+                v = vec_add(v, vec_scale(c, b))
+        new_lattice.append(v)
+    return lll_reduce(new_lattice) if new_lattice else []
 
 
 def lll_reduce(rows: Sequence[Sequence[Scalar]]) -> list[Vector]:

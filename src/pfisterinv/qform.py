@@ -199,21 +199,26 @@ def _round_div(a: int, b: int) -> int:
 
 
 def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
+    """The vectors of ``_reduced_gram`` on G with its denominator cleared."""
+    return _reduced_gram(linalg.integer_rows(gram)[0], basis)[0]
+
+
+def _reduced_gram(g_int: list[list[int]], basis: Sequence[Vector]) -> tuple[list, list]:
     """Greedy indefinite reduction of lattice vectors by their form values.
 
     Repeatedly replaces b_j by b_j - t b_i whenever that strictly shrinks
     |q(b_j)|; against an isotropic b_i the translate is chosen to cancel the
-    value through the cross term. Values are integers after clearing the Gram
-    denominator, so the strict decrease terminates. Keeping the |q(b)| small
-    is what keeps diagonal entries factorable. The basis vectors must be
-    integral; the reduced ones are returned as int tuples.
+    value through the cross term. ``g_int`` is an integer Gram matrix, D G
+    for a rational G with denominator D, so values are integers and the
+    strict decrease terminates. Keeping the |q(b)| small is what keeps
+    diagonal entries factorable. The basis vectors must be integral.
 
-    The Gram matrix M = B G B^T of the working basis is computed once and
-    kept current: a translate b_j -= t b_i changes only row and column j,
-    by t times row i, and its new diagonal entry is the value the step
-    already computed.
+    Returns the reduced vectors as int tuples, ordered by |value|, and their
+    Gram matrix under ``g_int`` in that order: callers read values and cross
+    terms (scaled by D) from it. It is computed once and kept current: a
+    translate b_j -= t b_i changes only row and column j, by t times row i,
+    and its new diagonal entry is the value the step already computed.
     """
-    g_int, _ = linalg.integer_rows(gram)
     if any(x.denominator != 1 for v in basis for x in v):
         raise ValueError("form reduction needs integral basis vectors")
     work = [[x.numerator for x in v] for v in basis]
@@ -253,29 +258,28 @@ def _form_reduce(gram: Matrix, basis: Sequence[Vector]) -> list[Vector]:
                     row_j[j] = vv
                     improved = True
     order = sorted(range(m), key=lambda t: (abs(gm[t][t]), work[t]))
-    return [tuple(work[t]) for t in order]
+    return [tuple(work[t]) for t in order], [[gm[a][b] for b in order] for a in order]
 
 
 def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Scalar, ...], Matrix]:
     """Orthogonal basis of the form: returns (diag, P) with P^T G P = diag(diag).
 
-    Works down a chain of orthogonal complements, size-reducing each complement
-    basis with LLL before picking the shortest vector of nonzero value. Keeping
-    the basis vectors short keeps the diagonal values (whose squarefree parts
-    must be factored) at a manageable size, unlike plain symmetric elimination
-    whose entries grow like minors of G.
+    Works down a chain of orthogonal complements, form-reducing each
+    complement basis before picking the vector of smallest nonzero value.
+    Keeping the basis vectors short keeps the diagonal values (whose
+    squarefree parts must be factored) at a manageable size, unlike plain
+    symmetric elimination whose entries grow like minors of G. Values, cross
+    terms and the pivot's functional (its Gram row) are read from the reduced
+    Gram matrix, scaled by G's denominator D; scaling changes no comparison
+    or rounded quotient, and each diagonal entry is divided by D once.
     """
-    n = len(gram)
-
-    def bil(u, v):
-        return linalg.vec_dot(u, linalg.mat_vec(gram, v))
-
-    remaining = list(linalg.identity(n))
+    g_int, denom = linalg.integer_rows(gram)
+    remaining = list(linalg.identity(len(gram)))
     cols: list[Vector] = []
     diag: list[Scalar] = []
     while remaining:
-        basis = _form_reduce(gram, remaining)
-        values = [bil(v, v) for v in basis]
+        basis, gm = _reduced_gram(g_int, remaining)
+        values = [gm[t][t] for t in range(len(basis))]
         choices = [(abs(val), t) for t, val in enumerate(values) if val != 0]
         best = min(choices) if choices else None
         # hyperbolic pivot: near an isotropic vector z, q(w + (t+1) z) =
@@ -285,35 +289,33 @@ def _congruence_diagonalize(gram: Matrix) -> tuple[tuple[Scalar, ...], Matrix]:
         for a, va in enumerate(values):
             if va != 0:
                 continue
-            for b, wv in enumerate(basis):
-                bz = bil(basis[a], wv)
+            for b, bz in enumerate(gm[a]):
                 if bz == 0:
                     continue
-                t = round(linalg.div(-(values[b] + 2 * bz), 2 * bz))
+                t = _round_div(-(values[b] + 2 * bz), 2 * bz)
                 cand_val = values[b] + 2 * (t + 1) * bz
                 if cand_val == 0:
                     cand_val = values[b] + 2 * (t + 2) * bz
                     t += 1
-                cand = linalg.vec_add(wv, linalg.vec_scale(t + 1, basis[a]))
                 if hyp is None or abs(cand_val) < abs(hyp[0]):
-                    hyp = (cand_val, cand)
+                    hyp = (cand_val, a, b, t + 1)
         if hyp is not None and (best is None or abs(hyp[0]) < best[0]):
-            v = hyp[1]
+            val, a, b, s = hyp
+            v = linalg.vec_add(basis[b], linalg.vec_scale(s, basis[a]))
+            row = [x + s * y for x, y in zip(gm[b], gm[a])]
         elif best is not None:
-            v = basis[best[1]]
+            val, v, row = values[best[1]], basis[best[1]], gm[best[1]]
         else:
             # all values and all cross terms vanish: totally degenerate
             # block; zero entries make the caller reject
-            for v in basis:
-                diag.append(0)
-                cols.append(v)
+            diag += [0] * len(basis)
+            cols += basis
             break
-        gv = linalg.mat_vec(gram, v)
-        diag.append(linalg.vec_dot(v, gv))
+        diag.append(linalg.div(val, denom))
         cols.append(v)
         # saturated, size-reduced complement of v inside the current lattice:
         # short vectors keep later diagonal values small
-        remaining = linalg.saturated_constrained_lattice([gv], lattice=basis)
+        remaining = linalg.functional_kernel(row, basis)
     return tuple(diag), linalg.transpose(linalg.matrix(cols))
 
 
@@ -690,16 +692,18 @@ def _cheap_zeros(q: QuadraticForm) -> Iterator[Vector]:
 
     First the standard basis vectors with a zero Gram diagonal entry, then the
     zero-valued vectors of a form-aware reduction of the standard lattice,
-    which have small coordinates. An explicit zero is a proof of isotropy all
-    by itself, with no appeal to the local-global decision and in particular
-    no integer factorization.
+    which have small coordinates; their values are the diagonal of the
+    reduced Gram matrix. An explicit zero is a proof of isotropy all by
+    itself, with no appeal to the local-global decision and in particular no
+    integer factorization.
     """
     units = list(linalg.identity(q.dim))
     for i, e in enumerate(units):
         if q.gram[i][i] == 0:
             yield e
-    for v in _form_reduce(q.gram, units):
-        if q.evaluate(v) == 0:
+    basis, gm = _reduced_gram(linalg.integer_rows(q.gram)[0], units)
+    for t, v in enumerate(basis):
+        if gm[t][t] == 0:
             yield v
 
 
@@ -847,14 +851,18 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
 
     Every emitted pair (u, v) satisfies q(u) = q(v) = 0 and b(u, v) = 1
     exactly, pairs are mutually orthogonal, and the anisotropic block is
-    certified by the local-global isotropy decision.
+    certified by the local-global isotropy decision. The first step decides
+    on q itself and so reuses its cached diagonalization. Planes are built
+    and checked in integers, on D G (denominator D cleared): a partner p with
+    c = b(u, p) != 0 gives V = 2c p - q(p) u with q(V) = 0, b(u, V) = den =
+    2c^2 and v = D V / den; the rows D G u and D G V cut out the complement.
     """
     n = q.dim
+    g_int, denom = linalg.integer_rows(q.gram)
     current: list[Vector] = list(linalg.identity(n))
     pairs: list[tuple[Vector, Vector]] = []
     while current:
-        sub = q.restrict(current)
-        res = is_isotropic(sub)
+        res = is_isotropic(q.restrict(current) if pairs else q)
         if not res.isotropic:
             break
         # lift the witness from subspace coordinates to ambient ones
@@ -862,19 +870,17 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
         for c, vec in zip(res.witness, current):
             if c:
                 u = linalg.vec_add(u, linalg.vec_scale(c, vec))
-        partner = next(v for v in current if q.bilinear(u, v) != 0)
-        v = linalg.vec_scale(linalg.div(1, q.bilinear(u, partner)), partner)
-        v = linalg.vec_sub(v, linalg.vec_scale(linalg.div(q.evaluate(v), 2), u))
-        if q.evaluate(u) != 0 or q.evaluate(v) != 0 or q.bilinear(u, v) != 1:
+        gu = linalg.mat_vec(g_int, u)
+        c, partner = next((c, p) for p in current if (c := linalg.vec_dot(gu, p)))
+        qp = linalg.vec_dot(partner, linalg.mat_vec(g_int, partner))
+        big_v = tuple(2 * c * x - qp * y for x, y in zip(partner, u))
+        gv, den = linalg.mat_vec(g_int, big_v), 2 * c * c
+        if linalg.vec_dot(u, gu) or linalg.vec_dot(big_v, gv) or linalg.vec_dot(gu, big_v) != den:
             raise CertificateError("split-off plane is not hyperbolic")
-        pairs.append((u, v))
+        pairs.append((u, tuple(linalg.div(denom * x, den) for x in big_v)))
         # orthogonal complement of the plane inside the current subspace,
         # kept as a saturated size-reduced integer lattice basis
-        constraints = [
-            linalg.mat_vec(q.gram, u),
-            linalg.mat_vec(q.gram, v),
-        ]
-        current = linalg.saturated_constrained_lattice(constraints, lattice=current)
+        current = linalg.saturated_constrained_lattice([gu, gv], lattice=current)
     return WittDecomposition(len(pairs), tuple(pairs), tuple(current))
 
 

@@ -299,6 +299,14 @@ class TestShapiro4:
         assert "branch=hyperbolic witt_index=8" in out
         assert "verdict=pass (hyperbolic)" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_run_with_no_scenarios_is_an_error(self, capsys, count):
+        code = main(["shapiro4", "run", "--count", count, "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_run_bytes_survive_python_O(self, tmp_path):
         paths = []
         for flags in ([], ["-O"]):

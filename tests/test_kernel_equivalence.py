@@ -68,8 +68,8 @@ def diagonal_hasse_reference(diag):
 
 
 @st.composite
-def symmetric_grams(draw):
-    n = draw(st.integers(min_value=2, max_value=16))
+def symmetric_grams(draw, max_dim=16):
+    n = draw(st.integers(min_value=2, max_value=max_dim))
     cells = draw(
         st.lists(st.integers(-6, 6), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
     )
@@ -109,6 +109,152 @@ class TestFormReduce:
         gram = linalg.matrix([[Fraction(1, 2), 3, 0], [3, Fraction(-5, 3), 1], [0, 1, 0]])
         basis = linalg.identity(3)
         assert qform._form_reduce(gram, basis) == form_reduce_reference(gram, basis)
+
+
+def congruence_diagonalize_reference(gram):
+    """Diagonalization re-reading values and cross terms through the ambient Gram."""
+    n = len(gram)
+
+    def bil(u, v):
+        return linalg.vec_dot(u, linalg.mat_vec(gram, v))
+
+    remaining = list(linalg.identity(n))
+    cols, diag = [], []
+    while remaining:
+        basis = form_reduce_reference(gram, remaining)
+        values = [bil(v, v) for v in basis]
+        choices = [(abs(val), t) for t, val in enumerate(values) if val != 0]
+        best = min(choices) if choices else None
+        hyp = None
+        for a, va in enumerate(values):
+            if va != 0:
+                continue
+            for b, wv in enumerate(basis):
+                bz = bil(basis[a], wv)
+                if bz == 0:
+                    continue
+                t = round(Fraction(-(values[b] + 2 * bz), 2 * bz))
+                cand_val = values[b] + 2 * (t + 1) * bz
+                if cand_val == 0:
+                    cand_val = values[b] + 2 * (t + 2) * bz
+                    t += 1
+                cand = linalg.vec_add(wv, linalg.vec_scale(t + 1, basis[a]))
+                if hyp is None or abs(cand_val) < abs(hyp[0]):
+                    hyp = (cand_val, cand)
+        if hyp is not None and (best is None or abs(hyp[0]) < best[0]):
+            v = hyp[1]
+        elif best is not None:
+            v = basis[best[1]]
+        else:
+            for v in basis:
+                diag.append(0)
+                cols.append(v)
+            break
+        gv = linalg.mat_vec(gram, v)
+        diag.append(linalg.vec_dot(v, gv))
+        cols.append(v)
+        remaining = linalg.saturated_constrained_lattice([gv], lattice=basis)
+    return tuple(diag), linalg.transpose(linalg.matrix(cols))
+
+
+def cheap_zeros_reference(q):
+    """Zero Gram diagonal entries, then the reduced vectors that q evaluates to 0."""
+    units = list(linalg.identity(q.dim))
+    zeros = [e for i, e in enumerate(units) if q.gram[i][i] == 0]
+    return zeros + [v for v in form_reduce_reference(q.gram, units) if q.evaluate(v) == 0]
+
+
+def witt_decompose_reference(q):
+    """Witt decomposition in rational arithmetic, restricting q at every step."""
+    n = q.dim
+    current = list(linalg.identity(n))
+    pairs = []
+    while current:
+        res = qform.is_isotropic(q.restrict(current))
+        if not res.isotropic:
+            break
+        u = linalg.zero_vector(n)
+        for c, vec in zip(res.witness, current):
+            if c:
+                u = linalg.vec_add(u, linalg.vec_scale(c, vec))
+        partner = next(v for v in current if q.bilinear(u, v) != 0)
+        v = linalg.vec_scale(Fraction(1) / q.bilinear(u, partner), partner)
+        v = linalg.vec_sub(v, linalg.vec_scale(Fraction(q.evaluate(v), 2), u))
+        if q.evaluate(u) != 0 or q.evaluate(v) != 0 or q.bilinear(u, v) != 1:
+            raise qform.CertificateError("split-off plane is not hyperbolic")
+        pairs.append((u, v))
+        constraints = [linalg.mat_vec(q.gram, u), linalg.mat_vec(q.gram, v)]
+        current = linalg.saturated_constrained_lattice(constraints, lattice=current)
+    return qform.WittDecomposition(len(pairs), tuple(pairs), tuple(current))
+
+
+def nondegenerate(gram):
+    assume(linalg.det(gram) != 0)
+    return gram
+
+
+# a multiplier with a denominator, so the Gram's denominator D exceeds 1
+scalings = st.tuples(st.integers(-7, 7).filter(bool), st.integers(2, 9)).map(
+    lambda nd: Fraction(*nd)
+)
+
+
+def scaled(gram, c):
+    return linalg.matrix([[c * x for x in row] for row in gram])
+
+
+class TestIntegerGramReuse:
+    """Diagonalization, cheap zeros and Witt planes on the reduced integer
+    Gram give what the rational recomputation gives, printed alike; the
+    reference may hold an integral Fraction where the scalar rule has an int."""
+
+    @staticmethod
+    def assert_same(got, expected):
+        diag, basis = got
+        assert got == expected
+        assert [str(x) for x in diag] == [str(x) for x in expected[0]]
+        assert all(type(x) is int or x.denominator != 1 for x in diag + sum(basis, ()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_grams())
+    def test_diagonalize(self, gram):
+        gram = nondegenerate(gram)
+        self.assert_same(
+            qform._congruence_diagonalize(gram), congruence_diagonalize_reference(gram)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_grams(), scalings)
+    def test_diagonalize_rational_multiples(self, gram, c):
+        gram = scaled(nondegenerate(gram), c)
+        self.assert_same(
+            qform._congruence_diagonalize(gram), congruence_diagonalize_reference(gram)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_grams(), st.one_of(st.just(Fraction(1)), scalings))
+    def test_cheap_zeros(self, gram, c):
+        q = qform.QuadraticForm(scaled(nondegenerate(gram), c))
+        assert list(qform._cheap_zeros(q)) == cheap_zeros_reference(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_grams(max_dim=6), st.one_of(st.just(Fraction(1)), scalings))
+    def test_witt_decompose(self, gram, c):
+        q = qform.QuadraticForm(scaled(nondegenerate(gram), c))
+        got = qform.witt_decompose(q)
+        assert got == witt_decompose_reference(q)
+        assert got.to_json() == witt_decompose_reference(q).to_json()
+
+    @pytest.mark.parametrize(
+        "diag", [[7, -1, 7, 11], [Fraction(7, 3), Fraction(-1, 2), 7, Fraction(11, 5)]]
+    )
+    def test_witt_decompose_binary_splitting_diagonal(self, diag):
+        # qf witt --diag=7,-1,7,11: no cheap zero, a witness by binary splitting
+        q = qform.QuadraticForm.from_diagonal(diag)
+        got = qform.witt_decompose(q)
+        assert got.witt_index == 1
+        assert got.to_json() == witt_decompose_reference(q).to_json()
+        assert qform._congruence_diagonalize(q.gram) == congruence_diagonalize_reference(q.gram)
 
 
 def extend_to_lagrangian_reference(q, basis):

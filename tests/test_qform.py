@@ -291,6 +291,22 @@ class TestWitt:
             assert is_hyperbolic(q)
             assert witt_decompose(q).witt_index == 3
 
+    @pytest.mark.parametrize(
+        "gram, witness",
+        [
+            # q(u) = 1 and the partner e1 is isotropic: only q(u) = 0 fails
+            ([[0, 1], [1, 1]], (0, 1)),
+            # q(u) = 1 and q(partner) = 1: all three conditions fail
+            ([[1, 0, 0], [0, -1, 0], [0, 0, 3]], (1, 0, 0)),
+        ],
+    )
+    def test_plane_check_rejects_a_false_witness(self, monkeypatch, gram, witness):
+        monkeypatch.setattr(
+            qform, "is_isotropic", lambda q: qform.IsotropyResult(True, witness)
+        )
+        with pytest.raises(qform.CertificateError, match="not hyperbolic"):
+            witt_decompose(QuadraticForm(gram))
+
     def test_from_lagrangian(self):
         q = QuadraticForm.from_diagonal([1, -1, 2, -2])
         lag = [(1, 1, 0, 0), (0, 0, 1, 1)]
