@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
 _TRIAL_LIMIT = 1 << 10
+_RHO_LIMIT = 1 << 13  # rho steps before sympy: factors to ~24 bits, a few ms
 
 
 class ZeroInputError(ValueError):
@@ -30,12 +31,16 @@ class FactorizationError(RuntimeError):
 def rat(value: Union[Scalar, str]) -> Scalar:
     """An int, Fraction or "num/den" string as an int if integral, else a Fraction.
 
-    A float, or any other type, raises TypeError: it is not exact.
+    A float, or any other type, raises TypeError: it is not exact. A string
+    that is not a rational, or has denominator 0, raises ValueError.
     """
     if type(value) is int:
         return value
     if isinstance(value, str):
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     elif isinstance(value, int):
         return int(value)
     elif not isinstance(value, Fraction):
@@ -80,14 +85,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n (Brent's cycle variant)."""
+def _brent_rho(n: int, limit: Optional[int] = None) -> int:
+    """A nontrivial factor of composite odd n (Brent's cycle variant); 0 when
+    none shows within ``limit`` steps of the iteration."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            if limit is not None and steps + 2 * r > limit:
+                return 0
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -99,6 +108,7 @@ def _brent_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += r + k
             r *= 2
         if g == n:
             g = 1
@@ -115,8 +125,9 @@ def factorize(n: int) -> dict[int, int]:
     """Factor |n| into primes.
 
     Trial division takes the primes below ``_TRIAL_LIMIT``; Miller-Rabin and
-    a deterministic Brent rho split the cofactor, and sympy's ``factorint``
-    the composites above 10^18. The primes come in ascending order.
+    a deterministic Brent rho split the cofactor. Above 10^18 the rho is
+    bounded by ``_RHO_LIMIT`` steps, and sympy's ``factorint`` splits what it
+    leaves. The primes come in ascending order.
     """
     if n == 0:
         raise ZeroInputError("cannot factor 0")
@@ -144,16 +155,15 @@ def factorize(n: int) -> dict[int, int]:
             if is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
                 continue
-            if m > 10**18:
+            g = _brent_rho(m, _RHO_LIMIT if m > 10**18 else None)
+            if not g:
                 # sympy's factorint (p - 1, rho and ECM) splits large hard
-                # composites that the plain Brent rho below is slow on
+                # composites, such as products of two primes above 40 bits
                 from sympy import factorint
 
                 for p, e in factorint(m).items():
-                    p = int(p)
-                    stack.extend([p] * e)
+                    stack.extend([int(p)] * e)
                 continue
-            g = _brent_rho(m)
             stack.append(g)
             stack.append(m // g)
     return dict(sorted(factors.items()))  # one prime order whatever the route

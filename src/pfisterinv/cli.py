@@ -32,7 +32,7 @@ def _parse_diag(text: str) -> QuadraticForm:
     try:
         entries = [rat(part) for part in text.split(",") if part.strip()]
         return QuadraticForm.from_diagonal(entries)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad diagonal {text!r}: {exc}")
 
 
@@ -101,7 +101,7 @@ def _cmd_qf(args) -> int:
 def _cmd_quat(args) -> int:
     try:
         q = QuaternionAlgebra(args.a, args.b)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
     if args.quat_cmd == "split":
         if quat.is_split(q):

@@ -176,6 +176,39 @@ def row_space_basis(rows: Iterable[Sequence[Scalar]]) -> list[Vector]:
     return [tuple(r) for r in reduced]
 
 
+def independent_extension(
+    rows: Sequence[Sequence[Scalar]], candidates: Iterable[Vector], count: int
+) -> list[Vector]:
+    """The first ``count`` candidates, in order, independent of ``rows`` and of
+    the candidates kept before them (none if ``rows`` are dependent): what a
+    rank test of rows + kept + [v] keeps, decided by reducing each v against
+    one fraction-free echelon of primitive integer rows."""
+    echelon: dict[int, list[int]] = {}  # leading column -> row
+
+    def insert(v: Sequence[Scalar]) -> bool:
+        w = integer_rows([v])[0][0]
+        for c in range(len(w)):
+            if w[c]:
+                e = echelon.get(c)
+                if e is None:
+                    g = math.gcd(*w)
+                    echelon[c] = [x // g for x in w]
+                    return True
+                a, b = e[c], w[c]
+                w = [a * x - b * y for x, y in zip(w, e)]
+        return False
+
+    if not all(map(insert, rows)):
+        return []
+    kept: list[Vector] = []
+    for v in candidates:
+        if len(kept) == count:
+            break
+        if insert(v):
+            kept.append(v)
+    return kept
+
+
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel {x : a x = 0}."""
     if not a:
@@ -221,18 +254,9 @@ def intersect_row_spaces(a_rows: Sequence[Vector], b_rows: Sequence[Vector]) -> 
     """Basis of span(a_rows) intersected with span(b_rows)."""
     if not a_rows or not b_rows:
         return []
-    stacked = list(a_rows) + list(b_rows)
-    relations = nullspace(transpose(matrix(stacked)))
-    vecs = []
-    na = len(a_rows)
-    for rel in relations:
-        v = zero_vector(len(a_rows[0]))
-        for coeff, row in zip(rel[:na], a_rows):
-            if coeff != 0:
-                v = vec_add(v, vec_scale(coeff, row))
-        if not is_zero_vector(v):
-            vecs.append(v)
-    return row_space_basis(vecs)
+    relations = nullspace(transpose(matrix(list(a_rows) + list(b_rows))))
+    a_cols = transpose(a_rows)
+    return row_space_basis([mat_vec(a_cols, rel[: len(a_rows)]) for rel in relations])
 
 
 def charpoly(a: Matrix) -> list[Scalar]:

@@ -67,11 +67,14 @@ class QuadraticForm:
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
+        diagonal = True
         for i in range(n):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if linalg.det(g) == 0:
+                diagonal = diagonal and not g[i][j]
+        # a diagonal Gram (``from_diagonal``) is singular iff an entry is 0
+        if not all(g[i][i] for i in range(n)) if diagonal else linalg.det(g) == 0:
             raise DegenerateFormError("degenerate form rejected")
         self.gram = g
         self._diag = None

@@ -287,24 +287,25 @@ def check_claim_2(
 
 
 def build_V_q(
-    d: InvolutionAlgebra, u: UElement, w_basis: Sequence[Vector]
+    d: InvolutionAlgebra, u: UElement, w_basis: Sequence[Vector], qu: QuadraticForm
 ) -> list[Vector]:
     """A deterministic 2-dimensional subspace of T intersected with gamma(W_q).
 
-    T is the kernel of z -> Trd(u gamma(z)); it is 15-dimensional, so the cut
-    of the 3-dimensional gamma(W_q) keeps dimension at least 2. The result is
-    the first two rows of the reduced-echelon basis of the intersection.
+    T is the kernel of f(z) = Trd(u gamma(z)). That is the polar form
+    b_u(1, z) of q_u, since Trd(z u) = Trd(gamma(z u)) = Trd(u gamma(z)) for
+    symmetric u; f is nonzero, so T is 15-dimensional and the cut of the
+    3-dimensional gamma(W_q) keeps dimension at least 2. The cut is
+    {sum a_i gamma(w_i) : sum a_i f(gamma(w_i)) = 0}, a kernel in 3
+    variables; the result is the first two rows of its reduced-echelon basis.
     """
     alg, g = d.algebra, d.sigma
-    functional = [
-        alg.trd(alg.mul(u.coords, g.apply(alg.basis_vector(t))))
-        for t in range(alg.dim)
-    ]
-    t_basis = linalg.nullspace(linalg.matrix([functional]))
-    if len(t_basis) != 15:
+    functional = linalg.mat_vec(qu.gram, alg.unit)
+    if not any(functional):
         raise ScenarioError("trace functional kernel is not 15-dimensional")
     gw = [g.apply(w) for w in w_basis]
-    meet = linalg.intersect_row_spaces(gw, t_basis)
+    cols = linalg.transpose(gw)
+    relations = linalg.nullspace((tuple(linalg.vec_dot(functional, z) for z in gw),))
+    meet = linalg.row_space_basis([linalg.mat_vec(cols, a) for a in relations])
     if len(meet) < 2:
         raise ScenarioError("T meets gamma(W_q) in dimension < 2")
     v_basis = meet[:2]
@@ -335,13 +336,15 @@ def check_claim_3_and_assemble(
     for pure in ([0, 1, 0, 0], [0, 0, 1, 0]):
         w_basis = w_subspace(s, d, u, y, pure, c_adj, gy_adj)
         failures += check_claim_2(d, u, w_basis, qu)
-        v_basis = build_V_q(d, u, w_basis)
+        v_basis = build_V_q(d, u, w_basis, qu)
         span = linalg.row_space_basis(span + v_basis)
         if len(span) >= 5:
             break
     if len(span) < 5:
         failures.append("claim3: assembled subspace has dimension < 5")
-    pairs = qu.pairing(span, span)
+    # the integer multiples of the rows: a zero test does not see the scale
+    ints = [linalg.clear_denominators(v) for v in span]
+    pairs = qu.pairing(ints, ints)
     for a in range(len(span)):
         for b in range(len(span)):
             if pairs[a][b] != 0:
@@ -380,23 +383,13 @@ def extend_to_lagrangian(q: QuadraticForm, basis: Sequence[Vector]) -> list[Vect
             [linalg.mat_vec(q.gram, v) for v in new], lattice=perp
         )
         target = n - 2 * len(span)
-        quot: list[Vector] = []
-        for v in perp:
-            if len(quot) == target:
-                break
-            stacked = list(span) + quot + [v]
-            if len(linalg.row_space_basis(stacked)) == len(stacked):
-                quot.append(v)
+        quot = linalg.independent_extension(span, perp, target)
         if len(quot) != target:
             raise CertificateError("orthogonal does not surject onto the quotient")
         res = qform.is_isotropic(q.restrict(quot))
         if not res.isotropic:
             raise CertificateError("form is not hyperbolic: anisotropic complement")
-        lifted = linalg.zero_vector(n)
-        for c, vec in zip(res.witness, quot):
-            if c:
-                lifted = linalg.vec_add(lifted, linalg.vec_scale(c, vec))
-        new = [linalg.clear_denominators(lifted)]
+        new = [linalg.clear_denominators(linalg.mat_vec(linalg.transpose(quot), res.witness))]
         span.append(new[0])
     return span
 

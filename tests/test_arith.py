@@ -22,7 +22,7 @@ from pfisterinv.arith import (
     square_class,
     square_classes,
 )
-from pfisterinv.arith import _coprime_basis, _power_root
+from pfisterinv.arith import _RHO_LIMIT, _brent_rho, _coprime_basis, _power_root
 
 nonzero_small = st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0)
 
@@ -32,6 +32,10 @@ class TestRationalIO:
         assert rat("3/4") == Fraction(3, 4)
         assert rat("-7") == Fraction(-7)
         assert rat(5) == Fraction(5)
+
+    def test_rat_rejects_a_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            rat("1/0")
 
     def test_rat_str_omits_unit_denominator(self):
         assert rat_str(Fraction(5)) == "5"
@@ -86,6 +90,31 @@ class TestFactorize:
         for base, exp in powers:
             n *= (base if is_prime(base) else int(nextprime(base))) ** exp
         assert factorize(n) == {int(p): e for p, e in factorint(n).items()}
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            # the composites above 10^18 that sample_scenario(7..31) factor
+            2901616322458327139,
+            34355148826532327597,
+            101478380190524457228091,
+            7988586164357593291973513,
+            102108156651361208722466578232909,
+            58387245605320609531127696467161643,
+            1223703710817585769706520108778198801843,
+            113245262299810634008880789493219553210205098363,
+            10156239780979532227604897933572355713270997462629243,
+        ],
+    )
+    def test_large_cofactors_match_sympy_factorint(self, n):
+        from sympy import factorint
+
+        assert list(factorize(n).items()) == sorted((int(p), e) for p, e in factorint(n).items())
+        # each loses a factor to the bounded rho; what is left may need sympy
+        assert 1 < _brent_rho(n, _RHO_LIMIT) < n
+
+    def test_bounded_rho_gives_up_on_two_large_primes(self):
+        assert _brent_rho(326717368880593 * 12302794429196026709, _RHO_LIMIT) == 0
 
 
 class TestSquareClass:

@@ -59,6 +59,12 @@ class TestQf:
         code, _ = run(capsys, "qf", "invariants", "--diag", "1,zebra")
         assert code == 2
 
+    def test_zero_denominator_rejected(self, capsys):
+        code = main(["qf", "invariants", "--diag", "1/0,1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: bad diagonal '1/0,1': zero denominator in '1/0'\n"
+
     def test_witness_route_failure_exits_2(self, capsys, monkeypatch):
         # <7, -1, 7, 11> is isotropic, but it has no zero on a basis vector
         # or in its form reduction, and no isotropic ternary subform, so its
@@ -319,6 +325,19 @@ class TestShapiro4:
             assert proc.returncode == 0, proc.stderr
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_first_scenarios_do_not_import_sympy(self):
+        # seed 8 factors 2901616322458327139 = 4547 * 8669 * 17377 * 4236149,
+        # which the bounded rho splits before sympy would be asked
+        code = (
+            "import sys\n"
+            "from pfisterinv.cli import main\n"
+            "assert main(['shapiro4', 'run', '--count', '2', '--seed', '7']) == 0\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_missing_file(self, capsys):
         assert run(capsys, "shapiro4", "verify", "/nonexistent.json")[0] == 2

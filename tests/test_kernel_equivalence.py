@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pfisterinv import csa, linalg, qform, quat, shapiro4
+from pfisterinv import cli, csa, linalg, qform, quat, shapiro4
 from pfisterinv.arith import BrauerClass, brauer_class_of_symbol
 from pfisterinv.quat import QuaternionAlgebra
 
@@ -318,6 +318,103 @@ class TestCarriedLattice:
         assert shapiro4.extend_to_lagrangian(q, line) == (
             extend_to_lagrangian_reference(q, line)
         )
+
+
+def independent_extension_reference(rows, candidates, count):
+    """Keep a candidate when the RREF of rows, the kept ones and it has full rank."""
+    kept = []
+    for v in candidates:
+        if len(kept) == count:
+            break
+        stacked = list(rows) + kept + [v]
+        if len(linalg.row_space_basis(stacked)) == len(stacked):
+            kept.append(v)
+    return kept
+
+
+def build_V_q_reference(d, u, w_basis):
+    """V_q through the 15-vector kernel of Trd(u gamma(z)) and a 16 x 18 nullspace."""
+    alg, g = d.algebra, d.sigma
+    functional = [
+        alg.trd(alg.mul(u.coords, g.apply(alg.basis_vector(t)))) for t in range(alg.dim)
+    ]
+    t_basis = linalg.nullspace(linalg.matrix([functional]))
+    assert len(t_basis) == 15
+    gw = [g.apply(w) for w in w_basis]
+    # the 16 x 18 relations between gamma(W_q) and T, as intersect_row_spaces had them
+    relations = linalg.nullspace(linalg.transpose(linalg.matrix(gw + t_basis)))
+    vecs = []
+    for rel in relations:
+        v = linalg.zero_vector(16)
+        for coeff, row in zip(rel[:3], gw):
+            if coeff != 0:
+                v = linalg.vec_add(v, linalg.vec_scale(coeff, row))
+        if not linalg.is_zero_vector(v):
+            vecs.append(v)
+    meet = linalg.row_space_basis(vecs)
+    assert meet == linalg.intersect_row_spaces(gw, t_basis)
+    return [linalg.vector(z) for z in meet[:2]]
+
+
+def small_rationals():
+    return st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+
+
+class TestSizedElimination:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(small_rationals(), min_size=n, max_size=n), max_size=4),
+        st.lists(st.lists(small_rationals(), min_size=n, max_size=n), max_size=8),
+        st.integers(0, n),
+    )))
+    def test_independent_extension(self, case):
+        rows, candidates, count = case
+        rows, candidates = linalg.matrix(rows), linalg.matrix(candidates)
+        got = linalg.independent_extension(rows, candidates, count)
+        assert got == independent_extension_reference(rows, candidates, count)
+        assert all(any(v is c for c in candidates) for v in got)
+
+    def test_build_V_q_on_the_pool_scenarios(self):
+        pures = ([0, 1, 0, 0], [0, 0, 1, 0])
+        used = []
+        for seed in (36, 39, 66, 67, 83):
+            s = shapiro4.sample_scenario(seed)
+            d = shapiro4.build_D(s.q1, s.q2)
+            u, y = shapiro4.make_u(s)
+            qu = shapiro4.q_u_form(d, u.coords)
+            c_adj = d.algebra.adjugate(s.c)
+            gy_adj = d.algebra.adjugate(d.sigma.apply(y))
+            span = list(shapiro4.Q1_BASIS)
+            for pure in pures:
+                w_basis = shapiro4.w_subspace(s, d, u, y, pure, c_adj, gy_adj)
+                v_basis = shapiro4.build_V_q(d, u, w_basis, qu)
+                assert v_basis == build_V_q_reference(d, u, w_basis)
+                used.append(pure)
+                span = linalg.row_space_basis(span + v_basis)
+                if len(span) >= 5:
+                    break
+        # at least one scenario needs the second pure quaternion j
+        assert pures[1] in used
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(small_rationals(), min_size=1, max_size=8))
+    def test_from_diagonal(self, entries):
+        n = len(entries)
+        gram = linalg.matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        if linalg.det(gram) == 0:  # the Bareiss test that the entries replace
+            with pytest.raises(qform.DegenerateFormError):
+                qform.QuadraticForm.from_diagonal(entries)
+            return
+        q = qform.QuadraticForm.from_diagonal(entries)
+        assert q.gram == gram
+        assert [list(map(type, row)) for row in q.gram] == [list(map(type, row)) for row in gram]
+
+    def test_qf_invariants_rejects_a_zero_entry(self, capsys):
+        assert cli.main(["qf", "invariants", "--diag", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad diagonal '0,1': degenerate form rejected\n"
 
 
 class TestGroupedHasse:
