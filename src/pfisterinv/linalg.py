@@ -15,6 +15,7 @@ division at the end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -168,12 +169,52 @@ def rref(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int
 
 
 def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    """The number of rows of a fraction-free echelon of ``a``: its pivot count."""
+    return len(_echelon(a, len(a[0]) if a else 0))
 
 
 def row_space_basis(rows: Iterable[Sequence[Scalar]]) -> list[Vector]:
     reduced, _ = rref(rows)
     return [tuple(r) for r in reduced]
+
+
+def _insert(echelon: dict[int, list[int]], v: Sequence[Scalar]) -> bool:
+    """Reduce v against an echelon of primitive integer rows keyed by leading
+    column; insert what is left, made primitive, if it is nonzero."""
+    w = integer_rows([v])[0][0]
+    for c in range(len(w)):
+        if w[c]:
+            e = echelon.get(c)
+            if e is None:
+                g = math.gcd(*w)
+                echelon[c] = [x // g for x in w]
+                return True
+            a, b = e[c], w[c]
+            w = [a * x - b * y for x, y in zip(w, e)]
+    return False
+
+
+def _echelon(rows: Iterable[Sequence[Scalar]], ncols: int) -> dict[int, list[int]]:
+    """A fraction-free echelon of the rows; it stops at ``ncols`` rows, full rank."""
+    echelon: dict[int, list[int]] = {}
+    for v in rows:
+        if len(echelon) == ncols:
+            break
+        _insert(echelon, v)
+    return echelon
+
+
+def _back_substitute(echelon: dict[int, list[int]], x: list[int]) -> Vector:
+    """x with each pivot entry solved from its row, last pivot first, so that
+    every echelon row vanishes; over a common denominator d, divided at the end."""
+    d = 1
+    for p in sorted(echelon, reverse=True):
+        e = echelon[p]
+        s = sum(a * b for a, b in zip(e[p + 1:], x[p + 1:]))
+        g = math.gcd(s, e[p])
+        x, d = [y * (e[p] // g) for y in x], d * (e[p] // g)
+        x[p] = -s // g
+    return tuple(div(y, d) for y in x)
 
 
 def independent_extension(
@@ -182,63 +223,38 @@ def independent_extension(
     """The first ``count`` candidates, in order, independent of ``rows`` and of
     the candidates kept before them (none if ``rows`` are dependent): what a
     rank test of rows + kept + [v] keeps, decided by reducing each v against
-    one fraction-free echelon of primitive integer rows."""
-    echelon: dict[int, list[int]] = {}  # leading column -> row
-
-    def insert(v: Sequence[Scalar]) -> bool:
-        w = integer_rows([v])[0][0]
-        for c in range(len(w)):
-            if w[c]:
-                e = echelon.get(c)
-                if e is None:
-                    g = math.gcd(*w)
-                    echelon[c] = [x // g for x in w]
-                    return True
-                a, b = e[c], w[c]
-                w = [a * x - b * y for x, y in zip(w, e)]
-        return False
-
-    if not all(map(insert, rows)):
+    one fraction-free echelon (``_insert``)."""
+    echelon: dict[int, list[int]] = {}
+    if not all(_insert(echelon, v) for v in rows):
         return []
-    kept: list[Vector] = []
-    for v in candidates:
-        if len(kept) == count:
-            break
-        if insert(v):
-            kept.append(v)
-    return kept
+    kept = (v for v in candidates if _insert(echelon, v))
+    return list(itertools.islice(kept, count))
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel {x : a x = 0}."""
+    """Basis of the right kernel {x : a x = 0}: per free column, the unique kernel
+    vector with 1 there and 0 at the other free columns, as in reduced echelon form."""
     if not a:
         return []
     ncols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return basis
+    echelon = _echelon(a, ncols)
+    return [
+        _back_substitute(echelon, [int(c == fc) for c in range(ncols)])
+        for fc in range(ncols)
+        if fc not in echelon
+    ]
 
 
 def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[Vector]:
-    """One solution of a x = b, or None if inconsistent."""
+    """The solution of a x = b with 0 at every free column, or None if
+    inconsistent: unique, so it is the one read off the reduced echelon form."""
     if not a:
         return None
     ncols = len(a[0])
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    reduced, pivots = rref(aug)
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # pivot in the constant column
-        x[pc] = reduced[r][ncols]
-    return tuple(x)
+    echelon = _echelon([list(row) + [bb] for row, bb in zip(a, b)], ncols + 1)
+    if ncols in echelon:
+        return None  # pivot in the constant column
+    return _back_substitute(echelon, [0] * ncols + [-1])[:ncols]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -199,7 +199,9 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
     A zero divisor x (nrd(x) = 0) spans a 2-dimensional left ideal; left
     multiplication on that ideal is the 2-dimensional representation. The
     zero divisor is the first witness of the norm-form search, so the map is
-    deterministic.
+    deterministic. The ideal's basis is in reduced echelon form, so the
+    coordinates of g v are its entries at the pivot columns; recombining
+    them into g v is the certificate that the ideal is invariant.
     """
     if not is_split(q):
         raise ValueError("algebra is not split")
@@ -207,22 +209,18 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
     x = q.element(witness)
     if nrd(x) != 0 or not any(x.coords):
         raise ValueError("norm-form witness is not a nonzero zero divisor")
-    # left ideal Q.x and a canonical 2-dimensional basis of it
-    span_rows = [(g * x).coords for g in q.basis()]
-    ideal_basis = linalg.row_space_basis(linalg.matrix(span_rows))
-    if len(ideal_basis) != 2:
+    reduced, pivots = linalg.rref(linalg.matrix((g * x).coords for g in q.basis()))
+    if len(reduced) != 2:
         raise CertificateError("left ideal of a zero divisor must have dimension 2")
-    basis_matrix = linalg.transpose(linalg.matrix(ideal_basis))  # 4x2, columns v1, v2
+    v1, v2 = (q.element(v) for v in reduced)
 
     def rep(g: QuaternionElement) -> Matrix:
-        cols = []
-        for v in ideal_basis:
-            gv = (g * q.element(v)).coords
-            sol = linalg.solve(basis_matrix, gv)
-            if sol is None:
+        gvs = [(g * v1).coords, (g * v2).coords]
+        m = linalg.matrix([[gv[p] for gv in gvs] for p in pivots])
+        for (c1, c2), gv in zip(zip(*m), gvs):
+            if gv != tuple(c1 * s + c2 * t for s, t in zip(v1.coords, v2.coords)):
                 raise CertificateError("left ideal is not invariant")
-            cols.append(sol)
-        return linalg.transpose(linalg.matrix(cols))
+        return m
 
     one_m = rep(q.one())
     i_m = rep(q.i())

@@ -109,8 +109,9 @@ class TestQuat:
         assert code == 2
 
     def test_failed_splitting_certificate_exits_2(self, capsys, monkeypatch):
-        # a left ideal that is not invariant under left multiplication
-        monkeypatch.setattr(quat.linalg, "solve", lambda a, b: None)
+        # a reduced basis, with its pivots, of span(1, i): j * 1 leaves it
+        basis = ([[1, 0, 0, 0], [0, 1, 0, 0]], [0, 1])
+        monkeypatch.setattr(quat.linalg, "rref", lambda rows: basis)
         code = main(["quat", "splitmap", "1", "5"])
         captured = capsys.readouterr()
         assert code == 2

@@ -460,6 +460,41 @@ class TestScalarTraceForm:
         assert congruent == shapiro4.scalar_trace_form(d, mu).gram
 
 
+def nullspace_reference(a):
+    """Kernel basis read off the RREF: per free column fc, 1 at fc and minus
+    column fc of the reduced rows at the pivots."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    reduced, pivots = linalg.rref(a)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_reference(a, b):
+    """The solution read off the RREF of [a | b], free variables 0."""
+    if not a:
+        return None
+    ncols = len(a[0])
+    reduced, pivots = linalg.rref([list(row) + [bb] for row, bb in zip(a, b)])
+    x = [0] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            return None  # pivot in the constant column
+        x[pc] = reduced[r][ncols]
+    return tuple(x)
+
+
+def rank_reference(a):
+    return len(linalg.rref(a)[1])
+
+
 def adjoint_gram_reference(a, iso):
     """G . iso(sigma(x)) = iso(x)^T . G imposed on every basis element."""
     n = iso.degree
@@ -476,7 +511,7 @@ def adjoint_gram_reference(a, iso):
                     row[r * n + k] += s[k][c]
                     row[k * n + c] -= m[k][r]
                 rows.append(row)
-    kernel = linalg.nullspace(linalg.matrix(rows))
+    kernel = nullspace_reference(linalg.matrix(rows))
     if len(kernel) != 1:
         raise csa.AlgebraError("solution space is not 1-dimensional")
     flat = kernel[0]
@@ -573,3 +608,93 @@ class TestAdjointGram:
             adjoint_gram_reference(d, iso)
         with pytest.raises(csa.AlgebraError, match="alternating"):
             csa.adjoint_gram(d, iso)
+
+
+def typed(x):
+    """x with every scalar paired with its type, so that == compares types too."""
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return x if x is None else (type(x), x)
+
+
+@st.composite
+def rational_systems(draw):
+    """(a, b) with rational entries; a zero row, a dependent row and an
+    inconsistent right-hand side each drawn or not."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(small_rationals(), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    if draw(st.booleans()):
+        c = draw(small_rationals())
+        rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+    a = linalg.matrix(draw(st.permutations(rows)))
+    if draw(st.booleans()):
+        b = linalg.mat_vec(a, linalg.vector(draw(row)))
+    else:
+        rhs = st.lists(small_rationals(), min_size=len(a), max_size=len(a))
+        b = linalg.vector(draw(rhs))
+    return a, b
+
+
+def splitting_images_reference(q):
+    """The splitting map with each column of rep(g) solved in the ideal basis."""
+    x = q.element(next(qform.isotropic_witnesses(quat.norm_form(q))))
+    basis = linalg.row_space_basis(linalg.matrix((g * x).coords for g in q.basis()))
+    basis_matrix = linalg.transpose(linalg.matrix(basis))
+
+    def rep(g):
+        cols = [solve_reference(basis_matrix, (g * q.element(v)).coords) for v in basis]
+        return linalg.transpose(linalg.matrix(cols))
+
+    i_m, j_m = rep(q.i()), rep(q.j())
+    return (rep(q.one()), i_m, j_m, linalg.mat_mul(i_m, j_m))
+
+
+class TestEchelonKernel:
+    """Kernels, solutions and ranks from one fraction-free echelon equal the
+    RREF ones in value and in type."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_systems())
+    def test_nullspace_solve_rank(self, case):
+        a, b = case
+        assert typed(linalg.nullspace(a)) == typed(nullspace_reference(a))
+        assert typed(linalg.solve(a, b)) == typed(solve_reference(a, b))
+        assert linalg.rank(a) == rank_reference(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_rationals(), min_size=3, max_size=3))
+    def test_one_row_of_three(self, functional):
+        # the shape of build_V_q's kernel
+        a = linalg.matrix([functional])
+        assert typed(linalg.nullspace(a)) == typed(nullspace_reference(a))
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (((1, 2), (2, 4)), (1, 3), None),
+            (((0, 0),), (1,), None),
+            (((1, 1),), (2,), (2, 0)),
+            (((0, 2, 4), (0, 1, 2)), (2, 1), (0, 1, 0)),
+            (((3, 0), (0, 2)), (1, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4))),
+        ],
+    )
+    def test_solve_examples(self, a, b, expected):
+        a = linalg.matrix(a)
+        assert typed(linalg.solve(a, linalg.vector(b))) == typed(expected)
+        assert typed(solve_reference(a, linalg.vector(b))) == typed(expected)
+
+    def test_splitting_images(self):
+        for symbol in SPLIT_SYMBOLS:
+            q = QuaternionAlgebra(*symbol)
+            images = quat.splitting_isomorphism(q).images
+            assert typed(images) == typed(splitting_images_reference(q)), symbol
+
+    def test_splitting_certificate_reads_the_recombination(self, monkeypatch):
+        # span(1, i) with its pivots is no left ideal: j * 1 = j leaves it
+        basis = ([[1, 0, 0, 0], [0, 1, 0, 0]], [0, 1])
+        monkeypatch.setattr(quat.linalg, "rref", lambda rows: basis)
+        with pytest.raises(qform.CertificateError, match="left ideal is not invariant"):
+            quat.splitting_isomorphism(QuaternionAlgebra(1, 5))
