@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence, Union
@@ -43,33 +44,41 @@ class UncomputableInvariant(RuntimeError):
 
 
 class StructureAlgebra:
-    """An associative unital algebra given by structure constants over Q.
+    """An associative unital algebra over Q on a monomial basis.
 
-    ``table[i][j]`` is a sparse map {k: c} meaning e_i e_j = sum c e_k.
-    Associativity and the unit law are checked at construction (exhaustively
-    up to dimension 16, on a deterministic sample beyond) unless
-    ``validate=False``: quaternion tables (associative for every symbol),
-    matrix units and tensor products (Kronecker constants of associative
-    unital algebras) hold by construction, and the tests run the full check
-    on them.
+    Each product of basis elements is one scaled basis element or 0, as in
+    quaternion tables, their tensor products, matrix units and Clifford
+    algebras (twisted group algebras, KMRT §11). Two flat tables over the
+    cells m = i*dim + j give e_i e_j = const[m] e_k with k = index[m], or 0
+    when k = -1; any other cell, such as one with two terms, raises
+    AlgebraError. Unless ``validate=False``, the constants are coerced to
+    exact scalars and associativity and the unit law are checked
+    (exhaustively up to dimension 16, on a deterministic sample beyond).
+    Quaternion tables, matrix units and tensor products hold by construction.
     """
 
-    __slots__ = ("dim", "labels", "table", "unit", "trace_row")
+    __slots__ = ("dim", "labels", "index", "const", "unit", "trace_row")
 
-    def __init__(self, labels, table, unit, validate: bool = True):
+    def __init__(self, labels, index, const, unit, validate: bool = True):
         self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.table = tuple(
-            tuple({k: linalg.scalar(c) for k, c in cell.items() if c != 0} for cell in row)
-            for row in table
-        )
+        n = self.dim = len(self.labels)
+        self.index, self.const = tuple(index), tuple(const)
+        try:
+            monomial = set(self.index) <= set(range(-1, n))
+        except TypeError:  # an unhashable cell, such as a map of two terms
+            monomial = False
+        if not monomial or not len(self.index) == len(self.const) == n * n:
+            raise AlgebraError("structure table is not monomial: one index and constant per cell")
         self.unit = linalg.vector(unit)
-        # t_i = Tr(L_{e_i}): the e_j-coefficient of e_i e_j, summed over j
-        self.trace_row = tuple(
-            sum(row[j].get(j, 0) for j in range(self.dim)) for row in self.table
-        )
         if validate:
+            self.const = linalg.vector(self.const)
             self._validate()
+        # t_i = Tr(L_{e_i}): the constants of the cells with e_i e_j on e_j
+        t = [0] * n
+        diagonal = map(operator.eq, self.index, itertools.cycle(range(n)))
+        for m in itertools.compress(range(n * n), diagonal):
+            t[m // n] += self.const[m]
+        self.trace_row = tuple(t)
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -81,23 +90,18 @@ class StructureAlgebra:
         return tuple(c * u for u in self.unit)
 
     def mul(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        out = [0] * self.dim
+        n, index, const = self.dim, self.index, self.const
+        out = [0] * n
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, c in row[j].items():
-                    out[k] += f * c
+            row = i * n
+            for j, yj in ys:
+                k = index[row + j]
+                if k >= 0:
+                    out[k] += xi * yj * const[row + j]
         return tuple(out)
-
-    def regular_matrix(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of left multiplication by x (the tests' reference for ``inverse``)."""
-        cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
-        return linalg.transpose(linalg.matrix(cols))
 
     def degree(self) -> int:
         deg = math.isqrt(self.dim)
@@ -111,11 +115,9 @@ class StructureAlgebra:
 
     def trace_form(self) -> Matrix:
         """The bilinear trace form: row s holds Trd(e_s e_k) for every k."""
-        t, deg = self.trace_row, self.degree()
-        return tuple(
-            tuple(linalg.div(sum(c * t[j] for j, c in cell.items()), deg) for cell in row)
-            for row in self.table
-        )
+        t, n, deg = self.trace_row, self.dim, self.degree()
+        vals = [linalg.div(c * t[k], deg) if k >= 0 else 0 for k, c in zip(self.index, self.const)]
+        return tuple(tuple(vals[s : s + n]) for s in range(0, n * n, n))
 
     def reduced_char_poly(self, x: Sequence[Scalar]) -> list[Scalar]:
         """Monic p of degree deg with p^deg the char poly of L_x, descending.
@@ -203,56 +205,48 @@ class StructureAlgebra:
 
     def _basis_product(self, i: int, j: int) -> Vector:
         out = [0] * self.dim
-        for k, c in self.table[i][j].items():
-            out[k] = c
+        m = i * self.dim + j
+        if self.index[m] >= 0:
+            out[self.index[m]] = self.const[m]
         return tuple(out)
 
 
 def quaternion_structure(q: QuaternionAlgebra) -> StructureAlgebra:
-    """The 4-dimensional structure algebra of a quaternion symbol (not re-validated)."""
-    basis = q.basis()
-    table = [[dict(enumerate((x * y).coords)) for y in basis] for x in basis]
-    return StructureAlgebra(["1", "i", "j", "k"], table, [1, 0, 0, 0], validate=False)
+    """The 4-dimensional structure algebra of a quaternion symbol (not re-validated).
+
+    i^2 = a, j^2 = b and ij = -ji = k put e_s e_t on e_{s xor t}, with the
+    constants of i k = a j, j k = -b i, k i = -a j, k j = b i and k^2 = -ab.
+    """
+    a, b = q.a, q.b
+    const = (1, 1, 1, 1, 1, a, 1, a, 1, -1, b, -b, 1, -a, b, linalg.scalar(-a * b))
+    index = tuple(s ^ t for s in range(4) for t in range(4))
+    return StructureAlgebra(["1", "i", "j", "k"], index, const, [1, 0, 0, 0], validate=False)
 
 
 def matrix_structure(n: int) -> StructureAlgebra:
-    """The matrix algebra M_n(Q) on the basis of matrix units (not re-validated)."""
+    """M_n(Q) on the matrix units, E_rc E_sd = [c = s] E_rd (not re-validated)."""
     labels = [f"E{r}{c}" for r in range(n) for c in range(n)]
-    idx = lambda r, c: r * n + c
-    table = []
-    for r in range(n):
-        for c in range(n):
-            row = []
-            for s in range(n):
-                for d in range(n):
-                    row.append({idx(r, d): 1} if c == s else {})
-            table.append(row)
+    cells = itertools.product(range(n), repeat=4)
+    index, const = zip(*((r * n + d, 1) if c == s else (-1, 0) for r, c, s, d in cells))
     unit = [1 if r == c else 0 for r in range(n) for c in range(n)]
-    return StructureAlgebra(labels, table, unit, validate=False)
+    return StructureAlgebra(labels, index, const, unit, validate=False)
 
 
 def tensor_structure(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """Tensor product algebra; structure constants are Kronecker products."""
+    """Tensor product algebra: (e_ia (x) e_ib)(e_ja (x) e_jb) is ca cb e_ka (x) e_kb."""
     labels = [f"{la}*{lb}" for la in a.labels for lb in b.labels]
-    dim_b = b.dim
-    table = []
-    for ia in range(a.dim):
-        for ib in range(b.dim):
-            row = []
-            for ja in range(a.dim):
-                cell_a = a.table[ia][ja]
-                for jb in range(b.dim):
-                    cell_b = b.table[ib][jb]
-                    row.append(
-                        {
-                            ka * dim_b + kb: ca * cb
-                            for ka, ca in cell_a.items()
-                            for kb, cb in cell_b.items()
-                        }
-                    )
-            table.append(row)
+    da, db = a.dim, b.dim
+    # cell (ia*db + ib, ja*db + jb) of the product pairs cell (ia, ja) of a
+    # with cell (ib, jb) of b
+    rows = lambda t, d: [t[m : m + d] for m in range(0, d * d, d)]
+    ai, ac, bi, bc = rows(a.index, da), rows(a.const, da), rows(b.index, db), rows(b.const, db)
+    index = [ka * db + kb if ka >= 0 and kb >= 0 else -1
+             for ra in ai for rb in bi for ka in ra for kb in rb]
+    const = [ca * cb for ra in ac for rb in bc for ca in ra for cb in rb]
+    if not set(map(type, a.const + b.const)) <= {int}:
+        const = linalg.vector(const)  # a product of Fractions may be integral
     unit = tuple(x * y for x in a.unit for y in b.unit)
-    return StructureAlgebra(labels, table, unit, validate=False)
+    return StructureAlgebra(labels, index, const, unit, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +600,12 @@ def e1(a: InvolutionAlgebra) -> int:
         # r >= 2: the untwisted decomposable involution has trivial discriminant
         if a.twist is None:
             return 1
-        return square_class(a.algebra.nrd(a.twist))
+        # kept on the algebra, so e2 and the Pfister verdict reuse it
+        disc = getattr(a, "_twist_disc", None)
+        if disc is None:
+            disc = square_class(a.algebra.nrd(a.twist))
+            object.__setattr__(a, "_twist_disc", disc)
+        return disc
     return square_class(adjoint_form(a).invariants().disc)
 
 
@@ -727,9 +726,8 @@ class CliffordAlgebra(StructureAlgebra):
         for mask in range(dim):
             name = "".join(f"e{t+1}" for t in range(n) if mask >> t & 1)
             labels.append(name or "1")
-        table = []
+        index, const = [], []
         for s_mask in range(dim):
-            row = []
             for t_mask in range(dim):
                 sign = 1
                 coeff = 1
@@ -745,10 +743,10 @@ class CliffordAlgebra(StructureAlgebra):
                         acc &= ~(1 << t)
                     else:
                         acc |= 1 << t
-                row.append({acc: sign * coeff})
-            table.append(row)
+                index.append(acc if coeff != 0 else -1)
+                const.append(sign * coeff)
         unit = [1 if m == 0 else 0 for m in range(dim)]
-        super().__init__(labels, table, unit)
+        super().__init__(labels, index, const, unit)
         self.generators_squares = tuple(diag)
 
     def generator(self, t: int) -> Vector:
