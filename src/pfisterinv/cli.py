@@ -36,15 +36,20 @@ def _parse_diag(text: str) -> QuadraticForm:
         raise CliError(f"bad diagonal {text!r}: {exc}")
 
 
+def _read_json(path: str, parse):
+    """``parse`` of the JSON in the file; a file that cannot be read or parsed is a CliError."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"bad input file {path}: {exc}")
+
+
 def _load_form(args) -> QuadraticForm:
     if getattr(args, "diag", None):
         return _parse_diag(args.diag)
     if getattr(args, "file", None):
-        try:
-            with open(args.file) as fh:
-                return QuadraticForm.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"cannot read form from {args.file}: {exc}")
+        return _read_json(args.file, QuadraticForm.from_json)
     raise CliError("provide --diag or --file")
 
 
@@ -55,11 +60,7 @@ def _form_from_spec(text: str) -> QuadraticForm:
             return _parse_diag(text)
         except CliError:
             pass
-    try:
-        with open(text) as fh:
-            return QuadraticForm.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot interpret form input {text!r}: {exc}")
+    return _read_json(text, QuadraticForm.from_json)
 
 
 def _print_json(data: dict):
@@ -133,38 +134,28 @@ def _cmd_quat(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_involution_algebra(path: str) -> csa.InvolutionAlgebra:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    try:
-        if "adjoint" in data:
-            a, _ = csa.adjoint_algebra(QuadraticForm.from_json(data["adjoint"]))
-            return a
-        factors = data["factors"]
-        built = None
-        for fac in factors:
-            q = QuaternionAlgebra(fac["a"], fac["b"])
-            desc = fac.get("involution", "canonical")
-            if desc == "canonical":
-                piece = csa.from_quaternion(q, "canonical")
-            else:
-                s = q.element(desc["s"])
-                piece = csa.from_quaternion(q, s)
-            built = piece if built is None else csa.tensor(built, piece)
-        if built is None:
-            raise CliError("empty factor list")
-        if "twist" in data:
-            built = csa.twist_involution(built, data["twist"])
-        return built
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad algebra file {path}: {exc}")
+def _involution_algebra_from_json(data: dict) -> csa.InvolutionAlgebra:
+    if "adjoint" in data:
+        a, _ = csa.adjoint_algebra(QuadraticForm.from_json(data["adjoint"]))
+        return a
+    built = None
+    for fac in data["factors"]:
+        q = QuaternionAlgebra(fac["a"], fac["b"])
+        desc = fac.get("involution", "canonical")
+        if desc == "canonical":
+            piece = csa.from_quaternion(q, "canonical")
+        else:
+            piece = csa.from_quaternion(q, q.element(desc["s"]))
+        built = piece if built is None else csa.tensor(built, piece)
+    if built is None:
+        raise CliError("empty factor list")
+    if "twist" in data:
+        built = csa.twist_involution(built, data["twist"])
+    return built
 
 
 def _cmd_inv(args) -> int:
-    a = _load_involution_algebra(args.algebra_file)
+    a = _read_json(args.algebra_file, _involution_algebra_from_json)
     if a.sigma.type_tag != "orthogonal":
         print("involution is symplectic: invariants undefined")
         return EXIT_NEGATIVE
@@ -218,11 +209,7 @@ def _cmd_shapiro4(args) -> int:
         reports = shapiro4.run_batch(args.count, args.seed)
         return _emit_reports(reports, args.json)
     if args.s4_cmd == "verify":
-        try:
-            with open(args.scenario) as fh:
-                scenario = shapiro4.Scenario.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"bad scenario file: {exc}")
+        scenario = _read_json(args.scenario, shapiro4.Scenario.from_json)
         try:
             report = shapiro4.run_scenario(scenario)
         except shapiro4.ScenarioError as exc:
@@ -233,17 +220,17 @@ def _cmd_shapiro4(args) -> int:
     raise CliError(f"unknown shapiro4 subcommand {args.s4_cmd!r}")
 
 
+def _u_file_from_json(data: dict):
+    q1 = QuaternionAlgebra.from_json(data["q1"])
+    q2 = QuaternionAlgebra.from_json(data["q2"])
+    coords = tuple(map(rat, data["u"]))
+    if len(coords) != 16:
+        raise CliError("u must have 16 coordinates")
+    return data, q1, q2, coords
+
+
 def _cmd_verify_u(args) -> int:
-    try:
-        with open(args.ufile) as fh:
-            data = json.load(fh)
-        q1 = QuaternionAlgebra.from_json(data["q1"])
-        q2 = QuaternionAlgebra.from_json(data["q2"])
-        coords = tuple(map(rat, data["u"]))
-        if len(coords) != 16:
-            raise CliError("u must have 16 coordinates")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad u file: {exc}")
+    data, q1, q2, coords = _read_json(args.ufile, _u_file_from_json)
     d = shapiro4.build_D(q1, q2)
     try:
         u = shapiro4.UElement(d, coords)

@@ -561,16 +561,6 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
 # ---------------------------------------------------------------------------
 
 
-def algebra_class(a: InvolutionAlgebra) -> BrauerClass:
-    """Brauer class of the underlying algebra, from its tensor provenance."""
-    if a.factors is None:
-        raise UncomputableInvariant("no provenance to read the algebra class from")
-    cls = BrauerClass.trivial()
-    for q, _ in a.factors:
-        cls = cls + brauer_class_of_symbol(q.a, q.b)
-    return cls
-
-
 def e0(a: InvolutionAlgebra) -> int:
     """Degree of the algebra modulo 2."""
     if a.sigma.type_tag != "orthogonal":
@@ -606,7 +596,7 @@ def e1(a: InvolutionAlgebra) -> int:
             disc = square_class(a.algebra.nrd(a.twist))
             object.__setattr__(a, "_twist_disc", disc)
         return disc
-    return square_class(adjoint_form(a).invariants().disc)
+    return adjoint_form(a).invariants().disc
 
 
 def adjoint_form(a: InvolutionAlgebra) -> QuadraticForm:
@@ -653,28 +643,20 @@ def e2(a: InvolutionAlgebra) -> E2Pair:
     """
     if e0(a) != 0 or e1(a) != 1:
         raise AlgebraError("Clifford invariant needs trivial e0 and e1")
-    if a.matrix_iso is not None:
+    # with no factors, e1 has solved the adjoint form: the algebra is split
+    classes = [brauer_class_of_symbol(q.a, q.b) for q, _ in a.factors or ()]
+    if all(c.is_trivial for c in classes):
         beta = adjoint_form(a).invariants().clifford
         return E2Pair.of(beta, BrauerClass.trivial())
-    if a.factors is not None and all(quat.is_split(q) for q, _ in a.factors):
-        beta = adjoint_form(a).invariants().clifford
-        return E2Pair.of(beta, BrauerClass.trivial())
-    if a.factors is None:
-        raise UncomputableInvariant("no route to the Clifford classes")
-    alg_class = algebra_class(a)
-    r = len(a.factors)
+    alg_class = sum(classes, BrauerClass.trivial())
+    r = len(classes)
     if a.twist is not None:
         raise UncomputableInvariant("twisted non-split algebra")
     if r == 2:
         if any(s is not None for _, s in a.factors):
             raise UncomputableInvariant("non-split degree 4 with orthogonal factors")
         # Clifford components of the canonical pair are the factors themselves
-        (q1, _), (q2, _) = a.factors
-        c1 = brauer_class_of_symbol(q1.a, q1.b)
-        c2 = brauer_class_of_symbol(q2.a, q2.b)
-        if c1 + c2 != alg_class:
-            raise AlgebraError("component classes must sum to the algebra class")
-        return E2Pair(frozenset({c1, c2}), alg_class)
+        return E2Pair(frozenset(classes), alg_class)
     if r == 3:
         # a decomposable degree-8 involution has one split Clifford component
         return E2Pair.of(BrauerClass.trivial(), alg_class)

@@ -169,6 +169,8 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
     """
     d = build_D(s.q1, s.q2)
     alg, g = d.algebra, d.sigma
+    if len(s.c) != alg.dim:
+        raise ScenarioError(f"c must have {alg.dim} coordinates, got {len(s.c)}")
     if not alg.is_invertible(s.c):
         raise ScenarioError("c must be invertible")
     if s.lam == 0:
@@ -209,22 +211,33 @@ def make_u(s: Scenario) -> tuple[UElement, Vector]:
 # ---------------------------------------------------------------------------
 
 
+def _isotropy_failures(q: QuadraticForm, vectors: Sequence[Vector], tag: str) -> list[str]:
+    """One failure per pair a <= b of the vectors on which the polar form of q is not 0.
+
+    The polar form is symmetric, so the pairs a <= b decide total isotropy.
+    """
+    pairs = q.pairing(vectors, vectors)
+    return [
+        f"{tag}: form does not vanish on pair ({a},{b})"
+        for a in range(len(vectors))
+        for b in range(a, len(vectors))
+        if pairs[a][b] != 0
+    ]
+
+
 def check_claim_1(d: InvolutionAlgebra, z: Vector, qz: QuadraticForm) -> list[str]:
     """The first tensor factor is totally isotropic for the trace form of z.
 
     Checks the full 4x4 Gram block on Q1 (x) 1 and the vanishing of Trd(x z)
     for x running over the embedded basis of the first factor.
     """
-    failures = []
     alg = d.algebra
-    pairs = qz.pairing(Q1_BASIS, Q1_BASIS)
-    for a in range(4):
-        if alg.trd(alg.mul(Q1_BASIS[a], z)) != 0:
-            failures.append(f"claim1: Trd(e{a} z) != 0")
-        for b in range(4):
-            if pairs[a][b] != 0:
-                failures.append(f"claim1: form does not vanish on pair ({a},{b})")
-    return failures
+    failures = [
+        f"claim1: Trd(e{a} z) != 0"
+        for a, e in enumerate(Q1_BASIS)
+        if alg.trd(alg.mul(e, z)) != 0
+    ]
+    return failures + _isotropy_failures(qz, Q1_BASIS, "claim1")
 
 
 def w_subspace(
@@ -268,22 +281,15 @@ def w_subspace(
 
 
 def check_claim_2(
-    d: InvolutionAlgebra, u: UElement, w_basis: Sequence[Vector], qu: QuadraticForm
+    d: InvolutionAlgebra, w_basis: Sequence[Vector], qu: QuadraticForm
 ) -> list[str]:
-    """gamma(W_q) is totally isotropic for q_u, with the scalar identity q_u(gamma(w)) = w^2 Trd(u)."""
-    failures = []
-    alg, g = d.algebra, d.sigma
-    gw = [g.apply(w) for w in w_basis]
-    pairs = qu.pairing(gw, gw)
-    for a, w in enumerate(w_basis):
-        sq = csa._scalar_of(alg, alg.mul(w, w))
-        if pairs[a][a] != sq * alg.trd(u.coords):
-            failures.append(f"claim2: q_u(gamma(w{a})) != w^2 Trd(u)")
-    for a in range(len(gw)):
-        for b in range(len(gw)):
-            if pairs[a][b] != 0:
-                failures.append(f"claim2: form does not vanish on pair ({a},{b})")
-    return failures
+    """gamma(W_q) is totally isotropic for q_u.
+
+    Its pairs (a, a) are q_u(gamma(w)) = w^2 Trd(u), with w^2 a scalar
+    (``w_subspace``) and Trd(u) = 0 (``UElement``), so they need no test of
+    their own.
+    """
+    return _isotropy_failures(qu, [d.sigma.apply(w) for w in w_basis], "claim2")
 
 
 def build_V_q(
@@ -335,7 +341,7 @@ def check_claim_3_and_assemble(
     span = list(Q1_BASIS)
     for pure in ([0, 1, 0, 0], [0, 0, 1, 0]):
         w_basis = w_subspace(s, d, u, y, pure, c_adj, gy_adj)
-        failures += check_claim_2(d, u, w_basis, qu)
+        failures += check_claim_2(d, w_basis, qu)
         v_basis = build_V_q(d, u, w_basis, qu)
         span = linalg.row_space_basis(span + v_basis)
         if len(span) >= 5:
@@ -344,12 +350,7 @@ def check_claim_3_and_assemble(
         failures.append("claim3: assembled subspace has dimension < 5")
     # the integer multiples of the rows: a zero test does not see the scale
     ints = [linalg.clear_denominators(v) for v in span]
-    pairs = qu.pairing(ints, ints)
-    for a in range(len(span)):
-        for b in range(len(span)):
-            if pairs[a][b] != 0:
-                failures.append(f"claim3: form does not vanish on pair ({a},{b})")
-                break
+    failures += _isotropy_failures(qu, ints, "claim3")
     return [linalg.vector(v) for v in span], failures
 
 
@@ -426,12 +427,7 @@ def check_lagrangian(q: QuadraticForm, lagrangian: Sequence[Vector]) -> list[str
     failures = []
     if linalg.rank(linalg.matrix(lagrangian)) != q.dim // 2:
         failures.append("lagrangian: rank is not half the dimension")
-    pairs = q.pairing(lagrangian, lagrangian)
-    for a in range(len(lagrangian)):
-        for b in range(a, len(lagrangian)):
-            if pairs[a][b] != 0:
-                failures.append(f"lagrangian: form does not vanish on pair ({a},{b})")
-    return failures
+    return failures + _isotropy_failures(q, lagrangian, "lagrangian")
 
 
 # ---------------------------------------------------------------------------

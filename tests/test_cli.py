@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pfisterinv import csa, qform, quat
+from pfisterinv import csa, qform, quat, shapiro4
 from pfisterinv.cli import main
 
 
@@ -342,3 +342,38 @@ class TestShapiro4:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "shapiro4", "verify", "/nonexistent.json")[0] == 2
+
+
+def _scenario(**fields) -> dict:
+    """The scenario file of seed 3 with some fields replaced."""
+    return {**shapiro4.sample_scenario(3).to_json(), **fields}
+
+
+_C = _scenario()["c"]
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["shapiro4", "verify"], _scenario(c=5), "bad input file"),
+        (["shapiro4", "verify"], _scenario(c=[0.5] + _C[1:]), "bad input file"),
+        (["shapiro4", "verify"], _scenario(**{"lambda": [1]}), "bad input file"),
+        (["shapiro4", "verify"], _scenario(q1=[1, 2]), "bad input file"),
+        (["shapiro4", "verify"], _scenario(c=_C + ["1"]), "c must have 16 coordinates, got 17"),
+        (["shapiro4", "verify"], _scenario(c=_C[:15]), "c must have 16 coordinates, got 15"),
+        (["qf", "invariants", "--file"], {"gram": 5}, "bad input file"),
+        (["qf", "invariants", "--file"], {"gram": [[1.5]]}, "bad input file"),
+        (["qf", "invariants", "--file"], {"diag": [0.5, 1]}, "bad input file"),
+    ],
+    ids=["c-int", "c-float", "lambda-list", "q1-list", "c-17", "c-15", "gram-int",
+         "gram-float", "diag-float"],
+)
+def test_malformed_input_file_is_an_error(capsys, tmp_path, argv, data, message):
+    # a malformed file is bad input (exit 2, one line), never a crash
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    code = main([*argv, str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1

@@ -296,6 +296,25 @@ class TestE2:
         assert brauer_class_of_symbol(-1, -1) in pair.classes
         assert brauer_class_of_symbol(2, 3) in pair.classes
 
+    @pytest.mark.parametrize(
+        "first, second", [((-1, -1), (-1, -1)), ((-1, -1), (2, 3)), ((1, 5), (-1, -1))]
+    )
+    def test_degree4_symbol_classes_computed_once(self, monkeypatch, first, second):
+        # the all-split test, the algebra class and the components share one
+        # class per factor
+        a = tensor(canonical(*first), canonical(*second))
+        calls = []
+
+        def spy(x, y):
+            calls.append((x, y))
+            return brauer_class_of_symbol(x, y)
+
+        monkeypatch.setattr(csa, "brauer_class_of_symbol", spy)
+        monkeypatch.setattr(quat, "brauer_class_of_symbol", spy)
+        pair = e2(a)
+        assert sorted(calls) == sorted([first, second])
+        assert pair.algebra_class == brauer_class_of_symbol(*first) + brauer_class_of_symbol(*second)
+
 
 class TestSplitAgreement:
     def test_structural_vs_adjoint_on_split_products(self):

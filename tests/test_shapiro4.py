@@ -200,3 +200,67 @@ class TestExtendToLagrangian:
         ]
         failures = shapiro4.check_lagrangian(q, [line, linalg.vector([0, 0, 1, 0])])
         assert failures == ["lagrangian: form does not vanish on pair (1,1)"]
+
+
+def plus_square(q: qform.QuadraticForm, v) -> qform.QuadraticForm:
+    """q + (v . x)^2: its polar value on a pair isotropic for q is (v . x)(v . y)."""
+    return qform.QuadraticForm(
+        [[g + a * b for g, b in zip(row, v)] for row, a in zip(q.gram, v)]
+    )
+
+
+def pairs(tag: str, rows) -> list[str]:
+    return [
+        f"{tag}: form does not vanish on pair ({a},{b})" for a in rows for b in rows if a <= b
+    ]
+
+
+class TestVanishingFailures:
+    """Each check lists every unordered pair that does not vanish once, as (a,b) with a <= b."""
+
+    @pytest.fixture
+    def seed7(self):
+        s = sample_scenario(7)
+        d = build_D(s.q1, s.q2)
+        u, y = make_u(s)
+        return s, d, u, y, q_u_form(d, u.coords)
+
+    def test_claim_1(self, seed7):
+        _, d, u, _, qu = seed7
+        assert check_claim_1(d, u.coords, plus_square(qu, [1] * 16)) == pairs("claim1", range(4))
+
+    def test_claim_2(self, seed7):
+        s, d, u, y, qu = seed7
+        alg = d.algebra
+        w_basis = shapiro4.w_subspace(
+            s, d, u, y, [0, 1, 0, 0], alg.adjugate(s.c), alg.adjugate(d.sigma.apply(y))
+        )
+        # coordinate 9 is 0 on gamma(w0) and not on gamma(w1), gamma(w2)
+        v = [0] * 16
+        v[9] = 1
+        assert [d.sigma.apply(w)[9] != 0 for w in w_basis] == [False, True, True]
+        assert shapiro4.check_claim_2(d, w_basis, plus_square(qu, v)) == pairs("claim2", [1, 2])
+
+    def test_claim_3(self, seed7):
+        s, d, u, y, qu = seed7
+        alg = d.algebra
+        c_adj, gy_adj = alg.adjugate(s.c), alg.adjugate(d.sigma.apply(y))
+        gw = [
+            d.sigma.apply(w)
+            for pure in ([0, 1, 0, 0], [0, 0, 1, 0])
+            for w in shapiro4.w_subspace(s, d, u, y, pure, c_adj, gy_adj)
+        ]
+        # v is orthogonal to the unit, which keeps the trace functional and so
+        # the assembled subspace, and to every gamma(w), which keeps claim 2
+        v = [sum(col) for col in zip(*linalg.nullspace(tuple(gw) + (alg.unit,)))]
+        span, failures = shapiro4.check_claim_3_and_assemble(s, d, u, y, plus_square(qu, v))
+        ints = [linalg.clear_denominators(x) for x in span]
+        assert [linalg.vec_dot(v, x) != 0 for x in ints] == [False] + [True] * 5
+        assert failures == pairs("claim3", range(1, 6))
+
+    def test_lagrangian(self):
+        q = qform.QuadraticForm.from_diagonal([1, -1, 1, -1])
+        lagrangian = [linalg.vector([1, 1, 0, 0]), linalg.vector([0, 0, 1, 1])]
+        assert shapiro4.check_lagrangian(q, lagrangian) == []
+        failures = shapiro4.check_lagrangian(plus_square(q, [1, 0, 1, 0]), lagrangian)
+        assert failures == pairs("lagrangian", [0, 1])
