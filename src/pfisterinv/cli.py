@@ -237,7 +237,7 @@ def _cmd_verify_u(args) -> int:
     except shapiro4.ScenarioError as exc:
         raise CliError(f"invalid u: {exc}")
     qu = shapiro4.q_u_form(d, u.coords)
-    failures = shapiro4.check_claim_1(d, u.coords, qu)
+    failures = shapiro4.check_claim_1(qu)
     # the Lagrangian is grown from Q1 (x) 1, isotropic by claim 1 (Trd(u) = 0)
     witt_index, _, lagrangian_failures = shapiro4.certify_witt_index(
         qu, None if failures else shapiro4.Q1_BASIS

@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import linalg, quat
@@ -51,15 +51,15 @@ class StructureAlgebra:
     algebras (twisted group algebras, KMRT §11). Two flat tables over the
     cells m = i*dim + j give e_i e_j = const[m] e_k with k = index[m], or 0
     when k = -1; any other cell, such as one with two terms, raises
-    AlgebraError. Unless ``validate=False``, the constants are coerced to
-    exact scalars and associativity and the unit law are checked
-    (exhaustively up to dimension 16, on a deterministic sample beyond).
-    Quaternion tables, matrix units and tensor products hold by construction.
+    AlgebraError. The builders' tables, with constants under the scalar
+    rule, are associative and unital by construction (the Clifford sign rule
+    for any diagonal); ``_validate`` is the exhaustive check the tests run on
+    each builder (every basis triple up to dimension 16, a sample beyond).
     """
 
     __slots__ = ("dim", "labels", "index", "const", "unit", "trace_row")
 
-    def __init__(self, labels, index, const, unit, validate: bool = True):
+    def __init__(self, labels, index, const, unit):
         self.labels = tuple(labels)
         n = self.dim = len(self.labels)
         self.index, self.const = tuple(index), tuple(const)
@@ -70,9 +70,6 @@ class StructureAlgebra:
         if not monomial or not len(self.index) == len(self.const) == n * n:
             raise AlgebraError("structure table is not monomial: one index and constant per cell")
         self.unit = linalg.vector(unit)
-        if validate:
-            self.const = linalg.vector(self.const)
-            self._validate()
         # t_i = Tr(L_{e_i}): the constants of the cells with e_i e_j on e_j
         t = [0] * n
         diagonal = map(operator.eq, self.index, itertools.cycle(range(n)))
@@ -212,7 +209,7 @@ class StructureAlgebra:
 
 
 def quaternion_structure(q: QuaternionAlgebra) -> StructureAlgebra:
-    """The 4-dimensional structure algebra of a quaternion symbol (not re-validated).
+    """The 4-dimensional structure algebra of a quaternion symbol.
 
     i^2 = a, j^2 = b and ij = -ji = k put e_s e_t on e_{s xor t}, with the
     constants of i k = a j, j k = -b i, k i = -a j, k j = b i and k^2 = -ab.
@@ -220,16 +217,16 @@ def quaternion_structure(q: QuaternionAlgebra) -> StructureAlgebra:
     a, b = q.a, q.b
     const = (1, 1, 1, 1, 1, a, 1, a, 1, -1, b, -b, 1, -a, b, linalg.scalar(-a * b))
     index = tuple(s ^ t for s in range(4) for t in range(4))
-    return StructureAlgebra(["1", "i", "j", "k"], index, const, [1, 0, 0, 0], validate=False)
+    return StructureAlgebra(["1", "i", "j", "k"], index, const, [1, 0, 0, 0])
 
 
 def matrix_structure(n: int) -> StructureAlgebra:
-    """M_n(Q) on the matrix units, E_rc E_sd = [c = s] E_rd (not re-validated)."""
+    """M_n(Q) on the matrix units, E_rc E_sd = [c = s] E_rd."""
     labels = [f"E{r}{c}" for r in range(n) for c in range(n)]
     cells = itertools.product(range(n), repeat=4)
     index, const = zip(*((r * n + d, 1) if c == s else (-1, 0) for r, c, s, d in cells))
     unit = [1 if r == c else 0 for r in range(n) for c in range(n)]
-    return StructureAlgebra(labels, index, const, unit, validate=False)
+    return StructureAlgebra(labels, index, const, unit)
 
 
 def tensor_structure(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -246,7 +243,7 @@ def tensor_structure(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgeb
     if not set(map(type, a.const + b.const)) <= {int}:
         const = linalg.vector(const)  # a product of Fractions may be integral
     unit = tuple(x * y for x in a.unit for y in b.unit)
-    return StructureAlgebra(labels, index, const, unit, validate=False)
+    return StructureAlgebra(labels, index, const, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +257,16 @@ class Involution:
 
     The type tag is cross-checked against the dimension of the fixed space:
     an orthogonal involution on a degree-n algebra fixes n(n+1)/2 dimensions,
-    a symplectic one n(n-1)/2. With ``validate=False`` only that check runs:
-    gamma, tensor products, twists by a checked symmetric invertible u and
-    adjoint involutions are involutions by construction, and the tests run
-    the full check on them.
+    a symplectic one n(n-1)/2. Only that check runs: the builders' maps are
+    involutions by construction, and ``_validate`` is the full check the
+    tests run on each builder.
     """
 
     algebra: StructureAlgebra
     matrix: Matrix
     type_tag: str
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
-        if validate:
-            self._validate()
+    def __post_init__(self):
         deg = self.algebra.degree()
         sym = self.symmetric_dimension()
         expected = {"orthogonal": deg * (deg + 1) // 2, "symplectic": deg * (deg - 1) // 2}
@@ -366,15 +359,15 @@ class InvolutionAlgebra:
 def from_quaternion(q: QuaternionAlgebra, inv: FactorInvolution) -> InvolutionAlgebra:
     """Quaternion algebra as a structure algebra with gamma or Int(s) o gamma.
 
-    gamma is an involution of every quaternion algebra and is not
-    re-validated; the matrix of Int(s) o gamma is.
+    OrthogonalInvolution checks that s is pure and invertible, so gamma(s) =
+    -s and Int(s) o gamma squares to x -> s gamma(s)^{-1} x gamma(s) s^{-1} = x.
     """
     alg = quaternion_structure(q)
     if isinstance(inv, str):
         if inv != "canonical":
             raise AlgebraError(f"unknown involution descriptor {inv!r}")
         m = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
-        sigma = Involution(alg, m, "symplectic", validate=False)
+        sigma = Involution(alg, m, "symplectic")
         return InvolutionAlgebra(alg, sigma, ((q, None),))
     if isinstance(inv, QuaternionElement):
         inv = OrthogonalInvolution(inv)
@@ -397,7 +390,7 @@ def tensor(x: InvolutionAlgebra, y: InvolutionAlgebra) -> InvolutionAlgebra:
     alg = tensor_structure(x.algebra, y.algebra)
     m = linalg.kron(x.sigma.matrix, y.sigma.matrix)
     tag = _TYPE_PRODUCT[(x.sigma.type_tag, y.sigma.type_tag)]
-    sigma = Involution(alg, m, tag, validate=False)
+    sigma = Involution(alg, m, tag)
     factors = None
     if x.factors is not None and y.factors is not None:
         factors = x.factors + y.factors
@@ -413,7 +406,7 @@ def twist_involution(a: InvolutionAlgebra, u: Sequence[Scalar]) -> InvolutionAlg
     """Replace sigma by Int(u) o sigma for a sigma-symmetric invertible u.
 
     The length and both properties of u are checked; they make Int(u) o sigma
-    an involution, so it is not re-validated (only the type-tag check runs).
+    an involution of the same type.
     """
     u = linalg.vector(u)
     alg = a.algebra
@@ -427,7 +420,7 @@ def twist_involution(a: InvolutionAlgebra, u: Sequence[Scalar]) -> InvolutionAlg
         raise AlgebraError("twisting element must be invertible") from None
     cols = [alg.mul(alg.mul(u, a.sigma.apply(alg.basis_vector(t))), u_inv) for t in range(alg.dim)]
     m = linalg.transpose(linalg.matrix(cols))
-    sigma = Involution(alg, m, a.sigma.type_tag, validate=False)
+    sigma = Involution(alg, m, a.sigma.type_tag)
     prev = a.twist if a.twist is not None else alg.unit
     return InvolutionAlgebra(alg, sigma, a.factors, alg.mul(u, prev), a.matrix_iso)
 
@@ -461,9 +454,10 @@ def split_isomorphism(a: InvolutionAlgebra) -> AlgebraIso:
         raise AlgebraError("no tensor provenance to build a splitting from")
     maps = []
     for q, _ in a.factors:
-        if not quat.is_split(q):
-            raise AlgebraError(f"factor ({rat_str(q.a)},{rat_str(q.b)}) is not split")
-        maps.append(quat.splitting_isomorphism(q))
+        try:
+            maps.append(quat.splitting_isomorphism(q))
+        except ValueError:
+            raise AlgebraError(f"factor ({rat_str(q.a)},{rat_str(q.b)}) is not split") from None
     degree = 2 ** len(maps)
     images = []
     for combo in itertools.product(range(4), repeat=len(maps)):
@@ -535,7 +529,7 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
     """End(V) with the adjoint involution of the given form, plus its identity iso.
 
     X -> G^{-1} X^T G is an involution for every symmetric nondegenerate G,
-    which QuadraticForm guarantees, so it is not re-validated.
+    which QuadraticForm guarantees.
     """
     n = q.dim
     alg = matrix_structure(n)
@@ -551,7 +545,7 @@ def adjoint_algebra(q: QuadraticForm) -> tuple[InvolutionAlgebra, AlgebraIso]:
         img = linalg.mat_mul(g_inv, linalg.mat_mul(linalg.transpose(e), g))
         cols.append(tuple(x for row in img for x in row))
     m = linalg.transpose(linalg.matrix(cols))
-    sigma = Involution(alg, m, "orthogonal", validate=False)
+    sigma = Involution(alg, m, "orthogonal")
     iso = AlgebraIso(n, units)
     return InvolutionAlgebra(alg, sigma, matrix_iso=iso), iso
 
@@ -728,7 +722,8 @@ class CliffordAlgebra(StructureAlgebra):
                 index.append(acc if coeff != 0 else -1)
                 const.append(sign * coeff)
         unit = [1 if m == 0 else 0 for m in range(dim)]
-        super().__init__(labels, index, const, unit)
+        # a product of Fraction squares may be integral
+        super().__init__(labels, index, linalg.vector(const), unit)
         self.generators_squares = tuple(diag)
 
     def generator(self, t: int) -> Vector:

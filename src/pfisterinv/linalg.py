@@ -329,10 +329,13 @@ def poly_nth_root(p: Sequence[Scalar], k: int) -> list[Scalar]:
 def primitive_kernel_basis(f: Sequence[int]) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {x in Z^n : f . x = 0}.
 
-    ``f`` must be a nonzero primitive integer vector. Built by the Bezout
-    chain over the nonzero entries; the result is saturated (index 1), which
-    is verified by checking that a Bezout solution of f . x = +-1 completes
-    it to a unimodular matrix.
+    ``f`` must be a nonzero primitive integer vector. The unit vectors of its
+    zero entries and a Bezout chain over the nonzero ones f_0, ..., f_m give
+    a saturated basis by construction: from c_0 = e_0 (f . c_0 = g_0 = f_0),
+    step k replaces (c_{k-1}, e_k) by (c_k, w_k) through the block
+    [[a_k, b_k], [f_k/g_k, -g_{k-1}/g_k]], of determinant -1, where
+    a_k g_{k-1} + b_k f_k = g_k = gcd(g_{k-1}, f_k). So c_m and the w_k form
+    a basis of Z^{m+1}, f . w_k = 0, and f . c_m = g_m = +-1 for primitive f.
     """
     n = len(f)
     nz = [i for i, x in enumerate(f) if x != 0]
@@ -358,12 +361,6 @@ def primitive_kernel_basis(f: Sequence[int]) -> list[tuple[int, ...]]:
         g = d
     if g not in (1, -1):
         raise ValueError("functional must be primitive")
-    x0 = [0] * n
-    for i, ci in coeff.items():
-        x0[i] = ci * g  # f . x0 == 1
-    full = matrix([x0] + basis)
-    if abs(det(full)) != 1:
-        raise ValueError("kernel basis is not saturated")
     return [tuple(r) for r in basis]
 
 

@@ -201,11 +201,12 @@ def splitting_isomorphism(q: QuaternionAlgebra) -> SplittingMap:
     zero divisor is the first witness of the norm-form search, so the map is
     deterministic. The ideal's basis is in reduced echelon form, so the
     coordinates of g v are its entries at the pivot columns; recombining
-    them into g v is the certificate that the ideal is invariant.
+    them into g v is the certificate that the ideal is invariant. An empty
+    search means an anisotropic norm form: raises ValueError, not split.
     """
-    if not is_split(q):
+    witness = next(isotropic_witnesses(norm_form(q)), None)
+    if witness is None:
         raise ValueError("algebra is not split")
-    witness = next(isotropic_witnesses(norm_form(q)))
     x = q.element(witness)
     if nrd(x) != 0 or not any(x.coords):
         raise ValueError("norm-form witness is not a nonzero zero divisor")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -257,12 +258,15 @@ class TestShapiro4:
     def test_verify_scenario_file(self, capsys, tmp_path):
         from pfisterinv import shapiro4 as s4
 
-        scenario = s4.sample_scenario(3)
-        p = tmp_path / "scenario.json"
-        p.write_text(json.dumps(scenario.to_json()))
-        code, out = run(capsys, "shapiro4", "verify", str(p))
-        assert code == 0
-        assert "verdict=pass" in out
+        # seed 3 as sampled, and seed 8 with a rational c
+        for seed, divisor in ((3, 1), (8, 7)):
+            scenario = s4.sample_scenario(seed).to_json()
+            scenario["c"] = [str(Fraction(x) / divisor) for x in scenario["c"]]
+            p = tmp_path / "scenario.json"
+            p.write_text(json.dumps(scenario))
+            code, out = run(capsys, "shapiro4", "verify", str(p))
+            assert code == 0
+            assert "verdict=pass" in out
 
     def test_verify_u_rejects_bad_u(self, capsys, tmp_path):
         p = tmp_path / "u.json"

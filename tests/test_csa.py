@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pfisterinv import csa, linalg, qform, quat, shapiro4
@@ -83,9 +83,8 @@ class TestTensor:
             assert d.sigma.apply(uv) == tuple(a * b for a in gu for b in gv)
 
     def test_tensor_products_pass_the_exhaustive_check(self):
-        # tensor products and their involutions are not validated at
-        # construction; associativity, the unit law and the anti-automorphism
-        # law hold by construction, and the checks confirm it
+        # associativity, the unit law and the anti-automorphism law of
+        # tensor products hold by construction, and the full checks confirm it
         products = [
             tensor(canonical(-1, -1), canonical(2, 3)),  # non-split canonical pair
             tensor(canonical(1, 5), canonical(4, -3)),  # split pair
@@ -102,13 +101,20 @@ class TestTensor:
         # e_1 e_2 = e_0 instead of a scaled e_3: monomial, not associative
         index, const = list(alg.index), list(alg.const)
         index[1 * alg.dim + 2], const[1 * alg.dim + 2] = 0, Fraction(1)
-        with pytest.raises(AlgebraError):
-            csa.StructureAlgebra(alg.labels, index, const, alg.unit)
-        # gamma (x) identity squares to the identity but reverses no products
+        with pytest.raises(AlgebraError, match="associativity"):
+            csa.StructureAlgebra(alg.labels, index, const, alg.unit)._validate()
+        # gamma (x) identity fixes 4 dimensions, which fits neither type
         x = canonical(-1, -1)
         not_anti = linalg.kron(x.sigma.matrix, linalg.identity(4))
-        with pytest.raises(AlgebraError, match="anti-automorphism"):
+        with pytest.raises(AlgebraError, match="contradicts type"):
             csa.Involution(alg, not_anti, "orthogonal")
+        # gamma (x) gamma with the signs of 1*i and i*i swapped: order 2,
+        # 10 fixed dimensions, but gamma'(e1 e2) = -e3 while gamma'(e2) gamma'(e1) = e3
+        swapped = [list(row) for row in products[0].sigma.matrix]
+        swapped[1][1], swapped[5][5] = 1, -1
+        not_anti = csa.Involution(alg, linalg.matrix(swapped), "orthogonal")
+        with pytest.raises(AlgebraError, match="anti-automorphism"):
+            not_anti._validate()
 
 
 def _symmetric_units(d):
@@ -125,10 +131,10 @@ def _twists(d):
 
 
 class TestHoldsByConstruction:
-    # quaternion tables, matrix units, the canonical involution, twists by a
-    # checked symmetric invertible u and adjoint involutions are built with
-    # validate=False; the full checks confirm that they are algebras and
-    # involutions
+    # quaternion tables, matrix units, Clifford tables, gamma, Int(s) o gamma,
+    # twists by a checked symmetric invertible u and adjoint involutions are
+    # built without the full checks; the checks confirm that they are
+    # algebras and involutions
     def test_every_pool_symbol_and_its_gamma(self):
         for a in shapiro4.SYMBOL_POOL:
             for b in shapiro4.SYMBOL_POOL:
@@ -142,6 +148,30 @@ class TestHoldsByConstruction:
         x = from_quaternion(QuaternionAlgebra(a, b), "canonical")
         x.algebra._validate()
         x.sigma._validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nonzero_rationals,
+        nonzero_rationals,
+        st.lists(st.fractions(-5, 5, max_denominator=4), min_size=3, max_size=3),
+    )
+    def test_drawn_symbols_and_their_twisted_gamma(self, a, b, pure):
+        q = QuaternionAlgebra(a, b)
+        s = q.element([0, *pure])
+        assume(quat.nrd(s) != 0)
+        x = from_quaternion(q, s)
+        assert x.sigma.type_tag == "orthogonal"
+        x.sigma._validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_clifford_tables(self, n):
+        # (e1 e2)^2 = -(1/2)(2) is an integral product of Fractions
+        diag = [Fraction(1, 2), 2, Fraction(-5, 3), -3, 0, Fraction(7, 4)][:n]
+        alg = csa.CliffordAlgebra(diag)
+        assert alg.const == linalg.vector(alg.const)  # the scalar rule
+        if n >= 2:
+            assert type(alg.const[3 * alg.dim + 3]) is int
+        alg._validate()
 
     @pytest.mark.parametrize(
         "symbols", [((1, 5), (4, -3)), ((-1, -1), (2, 3)), ((-3, 2), (5, 11)), ((1, 1), (-1, -1))]
@@ -174,7 +204,7 @@ class TestHoldsByConstruction:
         broken = [list(row) for row in t.sigma.matrix]
         broken[1], broken[2] = broken[2], broken[1]
         with pytest.raises(AlgebraError):
-            csa.Involution(t.algebra, linalg.matrix(broken), t.sigma.type_tag)
+            csa.Involution(t.algebra, linalg.matrix(broken), t.sigma.type_tag)._validate()
 
 
 class TestAdjoint:
@@ -297,11 +327,18 @@ class TestE2:
         assert brauer_class_of_symbol(2, 3) in pair.classes
 
     @pytest.mark.parametrize(
-        "first, second", [((-1, -1), (-1, -1)), ((-1, -1), (2, 3)), ((1, 5), (-1, -1))]
+        "first, second",
+        [
+            ((-1, -1), (-1, -1)),
+            ((-1, -1), (2, 3)),
+            ((1, 5), (-1, -1)),
+            ((1, 5), (1, 7)),
+            ((1, 5), (4, -3)),
+        ],
     )
     def test_degree4_symbol_classes_computed_once(self, monkeypatch, first, second):
         # the all-split test, the algebra class and the components share one
-        # class per factor
+        # class per factor; a split factor's splitting map asks for none
         a = tensor(canonical(*first), canonical(*second))
         calls = []
 

@@ -216,11 +216,13 @@ def test_round_div_ties_go_to_even(b):
 
 
 def test_source_guard():
-    """No AssertionError or bare assert in the package; Fraction built only in arith and linalg."""
+    """No AssertionError or bare assert in the package; Fraction built only in
+    arith and linalg; no construction-time ``validate=`` switch."""
     src = pathlib.Path(pfisterinv.__file__).parent
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         assert "AssertionError" not in text, path.name
         assert not re.search(r"^\s*assert\b", text, re.M), path.name
+        assert "validate=" not in text, path.name
         if path.name not in ("arith.py", "linalg.py"):
             assert "Fraction(" not in text, path.name

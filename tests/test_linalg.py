@@ -165,3 +165,45 @@ class TestLLLReduce:
     def test_dependent_rows_raise_value_error(self, rows):
         with pytest.raises(ValueError, match="independent"):
             lll_reduce(rows)
+
+
+def bezout_solution(f):
+    """An integer x with f . x = gcd(f), by a chain of extended gcds."""
+
+    def egcd(a, b):
+        if b == 0:
+            return (1 if a >= 0 else -1), 0, abs(a)
+        q, r = divmod(a, b)
+        s, t, g = egcd(b, r)
+        return t, s - q * t, g
+
+    x, g = [0] * len(f), 0
+    for i, fi in enumerate(f):
+        s, t, g = egcd(g, fi)
+        x = [s * xj for xj in x]
+        x[i] += t
+    return x, g
+
+
+@st.composite
+def primitive_functionals(draw):
+    entry = st.one_of(st.just(0), st.integers(-60, 60), st.integers(-10**9, 10**9))
+    f = draw(st.lists(entry, min_size=1, max_size=16).filter(any))
+    g = math.gcd(*f)
+    return [x // g for x in f]
+
+
+class TestPrimitiveKernelBasis:
+    @given(primitive_functionals())
+    @settings(max_examples=60, deadline=None)
+    def test_basis_is_saturated(self, f):
+        basis = linalg.primitive_kernel_basis(f)
+        assert all(dot(f, b) == 0 for b in basis)
+        x0, g = bezout_solution(f)
+        assert dot(f, x0) == g == 1
+        assert abs(linalg.det([x0] + basis)) == 1
+
+    @pytest.mark.parametrize("f", [[2, 4], [0, 0, -6], [0, 0]])
+    def test_non_primitive_functional_is_rejected(self, f):
+        with pytest.raises(ValueError, match="primitive|zero"):
+            linalg.primitive_kernel_basis(f)

@@ -88,6 +88,18 @@ class TestMakeU:
         assert d.sigma.apply(u.coords) == u.coords
         assert d.algebra.is_invertible(y)
 
+    @pytest.mark.parametrize("seed", [7, 58], ids=["hyperbolic", "definite"])
+    def test_rational_c_reports_as_its_integral_multiple(self, seed):
+        # c/3 scales c gamma(c) by 1/9 and its adjugate by 9^-3 > 0, so u0,
+        # the primitive integer multiple of lambda times the adjugate, stays
+        s = sample_scenario(seed)
+        thirds = Scenario(s.q1, s.q2, tuple(Fraction(x, 3) for x in s.c), s.lam, s.seed)
+        want, got = run_scenario(s).to_json(), run_scenario(thirds).to_json()
+        assert got["scenario"]["c"] != want["scenario"]["c"]
+        for key in ("scenario", "input_sha256"):
+            del want[key], got[key]
+        assert got == want
+
 
 class TestTraceForm:
     def test_vanishes_on_unit_for_traceless_u(self):
@@ -114,7 +126,7 @@ class TestTraceForm:
         d = build_D(s.q1, s.q2)
         u, _ = make_u(s)
         qu = q_u_form(d, u.coords)
-        assert check_claim_1(d, u.coords, qu) == []
+        assert check_claim_1(qu) == []
 
 
 class TestRunScenario:
@@ -226,8 +238,8 @@ class TestVanishingFailures:
         return s, d, u, y, q_u_form(d, u.coords)
 
     def test_claim_1(self, seed7):
-        _, d, u, _, qu = seed7
-        assert check_claim_1(d, u.coords, plus_square(qu, [1] * 16)) == pairs("claim1", range(4))
+        qu = seed7[-1]
+        assert check_claim_1(plus_square(qu, [1] * 16)) == pairs("claim1", range(4))
 
     def test_claim_2(self, seed7):
         s, d, u, y, qu = seed7
