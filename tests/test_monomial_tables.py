@@ -228,10 +228,14 @@ print("rejected")
 
 
 class TestNonMonomialCells:
+    @pytest.mark.parametrize("as_tuples", [True, False])  # the tables as tuples, as the builders give them, or as lists
     @pytest.mark.parametrize("cell", TWO_TERM_CELLS, ids=["map", "indices"])
-    def test_a_cell_with_two_terms_is_rejected(self, cell):
+    def test_a_cell_with_two_terms_is_rejected(self, cell, as_tuples):
+        labels, index, const, unit = two_term_tables(cell)
+        if as_tuples:
+            index, const = tuple(index), tuple(const)
         with pytest.raises(AlgebraError, match="not monomial"):
-            csa.StructureAlgebra(*two_term_tables(cell))
+            csa.StructureAlgebra(labels, index, const, unit)
 
     def test_rejected_under_python_O(self):
         here = Path(__file__).resolve().parent
